@@ -89,10 +89,11 @@ void BM_ReplayTimingSim(benchmark::State& state) {
 BENCHMARK(BM_ReplayTimingSim)->Unit(benchmark::kMillisecond);
 
 // Config-parallel batched replay: N machine configurations timed as lanes
-// of one simulate_replay_batch sweep over a shared pre-recorded trace.
-// items/s counts committed instructions across all lanes, so comparing
-// against BM_ReplayTimingSim at Arg(1) shows the batch dispatch overhead
-// and the higher Args show the amortization of the shared trace decode.
+// of one simulate_replay_batch call over a shared pre-recorded trace.
+// items/s counts committed instructions across all lanes. Each lane runs
+// the single-replay pipeline to completion over one shared decode table,
+// so per lane this should match BM_ReplayTimingSim; a gap is batch
+// overhead.
 void BM_ReplayBatch(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);

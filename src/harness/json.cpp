@@ -97,9 +97,20 @@ class Parser {
 
   Json parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // Containers recurse, so hostile nesting would overflow the stack
+      // without a cap. fail() throws and the parser is discarded, so
+      // depth_ needs no unwinding.
+      if (++depth_ > Json::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+             " levels");
+      }
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't': expect_word("true"); return Json(true);
       case 'f': expect_word("false"); return Json(false);
@@ -228,6 +239,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open at pos_
 };
 
 }  // namespace

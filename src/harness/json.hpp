@@ -89,7 +89,10 @@ class Json {
   // cache keys; indent >= 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = -1) const;
 
-  // Strict RFC-8259 parser (no comments, no trailing commas).
+  // Strict RFC-8259 parser (no comments, no trailing commas). Arrays and
+  // objects may nest at most kMaxDepth levels deep; deeper input throws a
+  // JsonError naming the limit and the offset.
+  static constexpr int kMaxDepth = 256;
   static Json parse(std::string_view text);
 
   bool operator==(const Json& other) const;

@@ -3,6 +3,7 @@
 #include <initializer_list>
 
 #include "harness/identity.hpp"
+#include "uarch/config.hpp"
 
 namespace t1000 {
 namespace {
@@ -361,6 +362,9 @@ MachineConfig machine_config_from_json(const Json& j) {
   if (const Json* v = j.find("pfu")) c.pfu = pfu_config_from_json(*v);
   if (const Json* v = j.find("branch")) {
     c.branch = branch_predictor_config_from_json(*v);
+  }
+  if (const std::string bad = validate(c); !bad.empty()) {
+    throw JsonError("machine config: " + bad);
   }
   return c;
 }

@@ -52,12 +52,15 @@ CacheConfig cache_config_from_json(const Json& j);
 TlbConfig tlb_config_from_json(const Json& j);
 PfuConfig pfu_config_from_json(const Json& j);
 BranchPredictorConfig branch_predictor_config_from_json(const Json& j);
+// Also throws JsonError naming the field when the machine fails
+// validate() (uarch/config.hpp).
 MachineConfig machine_config_from_json(const Json& j);
 ExtractPolicy extract_policy_from_json(const Json& j);
 SelectPolicy select_policy_from_json(const Json& j);
 // Rebuilds a RunSpec from the to_json(RunSpec) shape: workload (required),
 // label, selector, machine, policy, max_cycles, verify, observe. Throws
-// JsonError on unknown members, bad types, or unknown selector names.
+// JsonError on unknown members, bad types, unknown selector names, or an
+// invalid machine.
 RunSpec run_spec_from_json(const Json& j);
 
 CacheStats cache_stats_from_json(const Json& j);

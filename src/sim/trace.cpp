@@ -186,30 +186,27 @@ void CommittedTrace::finalize(std::uint32_t checksum) {
   content_hash_ = h;
 }
 
-DecodedStep decode_step(const StepInfo& info, const Program& program) {
-  DecodedStep d;
-  d.info = info;
-  d.pc = program.pc_of(info.index);
-  d.fu = fu_class(info.ins.op);
-  d.srcs = src_regs(info.ins);
-  const DstRegs dsts = dst_regs(info.ins);
-  d.dst = dsts.count > 0 ? static_cast<std::int8_t>(dsts.reg[0])
-                         : std::int8_t{-1};
-  d.dst2 = dsts.count > 1 ? static_cast<std::int8_t>(dsts.reg[1])
-                          : std::int8_t{-1};
-  // The halt opcode never consults the predictor (matching the fetch
-  // stage's historical is_control && !kHalt test).
-  d.is_ctrl = is_control(info.ins.op) && info.ins.op != Opcode::kHalt;
-  d.is_store = is_store(info.ins.op);
-  d.is_ext = info.ins.op == Opcode::kExt;
-  return d;
-}
-
-DecodedTrace::DecodedTrace(const CommittedTrace& trace,
-                           const Program& program) {
-  steps_.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    steps_.push_back(decode_step(trace.step_at(i, program), program));
+DecodeTable::DecodeTable(const Program& program) {
+  const std::int32_t n = program.size();
+  rows_.reserve(static_cast<std::size_t>(n) + 1);
+  for (std::int32_t i = 0; i <= n; ++i) {
+    const Instruction ins =
+        i < n ? program.text[static_cast<std::size_t>(i)] : make_halt();
+    DecodeRow row;
+    row.pc = program.pc_of(i);
+    row.srcs = src_regs(ins);
+    row.conf = ins.conf;
+    row.op = ins.op;
+    row.fu = fu_class(ins.op);
+    const DstRegs dsts = dst_regs(ins);
+    if (dsts.count > 0) row.dst = static_cast<std::int8_t>(dsts.reg[0]);
+    if (dsts.count > 1) row.dst2 = static_cast<std::int8_t>(dsts.reg[1]);
+    // The halt opcode never consults the predictor (matching the fetch
+    // stage's historical is_control && !kHalt test).
+    row.is_ctrl = is_control(ins.op) && ins.op != Opcode::kHalt;
+    row.is_store = is_store(ins.op);
+    row.is_ext = ins.op == Opcode::kExt;
+    rows_.push_back(row);
   }
 }
 

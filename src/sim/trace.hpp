@@ -139,6 +139,8 @@ class CommittedTrace {
   // The threaded interpreter's record policy appends SoA rows directly,
   // skipping StepInfo materialization (sim/ucode.cpp).
   friend struct UcodeImpl;
+  // Replay reads the columns directly, also without a StepInfo.
+  friend class TraceCursor;
 
   void append(const StepInfo& info, bool sentinel);
   void finalize(std::uint32_t checksum);
@@ -167,18 +169,20 @@ CommittedTrace record_trace(const Program& program,
 // preparation has built (and cached) the UopProgram.
 CommittedTrace record_trace(const UopProgram& ucode, std::uint64_t max_steps);
 
-// --- decoded steps ---
+// --- the static decode table ---
 //
-// Everything the timing pipeline's decode stage derives from a StepInfo,
-// computed once by decode_step(). The pipeline's fetch/dispatch stages
-// consume this form exclusively, so a step decoded ahead of time (the
-// batched replay path below) and a step decoded on the fly (the direct
-// and single-replay paths) take exactly the same cycle-level code.
-struct DecodedStep {
-  StepInfo info;
-  std::uint32_t pc = 0;         // byte address of info.index (I-cache key)
-  FuClass fu = FuClass::kNone;  // issue port class of the opcode
+// Everything the timing pipeline's decode stage derives from a committed
+// step is a pure function of the step's instruction index except five
+// dynamic facts (index, next_index, mem_addr, mem_size, branch outcome).
+// So the static part is decoded once per program into a table with one row
+// per instruction, and every replayed step is a slim record pointing at
+// its row — the timing-side counterpart of the UopProgram (sim/ucode.hpp).
+struct DecodeRow {
+  std::uint32_t pc = 0;         // byte address of the instruction (I-cache key)
   SrcRegs srcs;                 // register operands read (renaming)
+  ConfId conf = kInvalidConf;   // EXT configuration
+  Opcode op = Opcode::kNop;
+  FuClass fu = FuClass::kNone;  // issue port class of the opcode
   std::int8_t dst = -1;         // register written; -1 = none
   std::int8_t dst2 = -1;        // second register written (MIMO EXT only)
   bool is_ctrl = false;         // consults the branch predictor
@@ -186,67 +190,85 @@ struct DecodedStep {
   bool is_ext = false;          // requests a PFU configuration at decode
 };
 
-// The one decode function both forms share. `program` must be the program
-// `info` was produced from (pc_of; the instruction itself is already
-// embedded in `info`).
-DecodedStep decode_step(const StepInfo& info, const Program& program);
+// Rows 0 .. program.size()-1 decode the program text; the extra row at
+// program.size() is the off-the-end halt sentinel (make_halt()), the only
+// instruction index a committed step can carry beyond the text.
+class DecodeTable {
+ public:
+  explicit DecodeTable(const Program& program);
 
-// Presents a recorded trace through the step-source interface the timing
-// pipeline consumes (see uarch/timing.cpp): halted / next_pc / step.
-// Both referents must outlive the cursor.
+  const DecodeRow& row(std::int32_t index) const {
+    return rows_[static_cast<std::size_t>(index)];
+  }
+  std::size_t size() const { return rows_.size(); }
+
+  // Heap footprint of the rows, for observability.
+  std::uint64_t memory_bytes() const {
+    return rows_.capacity() * sizeof(DecodeRow);
+  }
+
+ private:
+  std::vector<DecodeRow> rows_;
+};
+
+// One committed step as the pipeline carries it through the fetch queue
+// and the RUU: its static row plus the dynamic fields.
+struct DecodedStep {
+  const DecodeRow* row = nullptr;
+  std::int32_t index = 0;       // instruction index (the row's index)
+  std::int32_t next_index = 0;  // successor index
+  std::uint32_t mem_addr = 0;
+  std::uint8_t mem_size = 0;
+  bool taken = false;           // branch outcome
+};
+static_assert(sizeof(DecodedStep) <= 24, "copied per fetch and dispatch");
+
+// A committed trace next to its program's decode table: what every replay,
+// single or batched, steps through. `trace` must outlive it.
+class DecodedTrace {
+ public:
+  DecodedTrace(const CommittedTrace& trace, const Program& program)
+      : trace_(&trace), table_(program) {}
+
+  const CommittedTrace& trace() const { return *trace_; }
+  const DecodeTable& table() const { return table_; }
+
+  // Heap footprint of the decode table (the trace's own columns are
+  // CommittedTrace::memory_bytes()).
+  std::uint64_t memory_bytes() const { return table_.memory_bytes(); }
+
+ private:
+  const CommittedTrace* trace_;
+  DecodeTable table_;
+};
+
+// Presents a decoded trace through the step-source interface the timing
+// pipeline consumes (see uarch/timing.cpp): halted / next_pc / step. Any
+// number of cursors may walk one DecodedTrace; it must outlive them.
 class TraceCursor {
  public:
-  TraceCursor(const CommittedTrace& trace, const Program& program)
-      : trace_(&trace), program_(&program) {}
+  explicit TraceCursor(const DecodedTrace& decoded)
+      : trace_(&decoded.trace()), table_(&decoded.table()) {}
 
   bool halted() const { return pos_ >= trace_->size(); }
   std::uint32_t next_pc() const {
-    return program_->pc_of(trace_->index_at(pos_));
+    return table_->row(trace_->index_[pos_]).pc;
   }
   DecodedStep step() {
-    return decode_step(trace_->step_at(pos_++, *program_), *program_);
+    const std::size_t i = pos_++;
+    const std::int32_t index = trace_->index_[i];
+    return {.row = &table_->row(index),
+            .index = index,
+            .next_index = trace_->next_index_[i],
+            .mem_addr = trace_->mem_addr_[i],
+            .mem_size = static_cast<std::uint8_t>(trace_->mem_size_[i]),
+            .taken = (static_cast<std::uint8_t>(trace_->flags_[i]) &
+                      CommittedTrace::kFlagBranchTaken) != 0};
   }
 
  private:
   const CommittedTrace* trace_;
-  const Program* program_;
-  std::size_t pos_ = 0;
-};
-
-// A committed trace fully decoded up front: one pass pays StepInfo
-// reconstruction and instruction decode for the whole stream, after which
-// any number of timing lanes replay it as plain array reads. This is what
-// makes config-parallel batched replay (uarch/timing.hpp,
-// simulate_replay_batch) profitable — N machine configurations share one
-// decode instead of re-deriving it N times.
-class DecodedTrace {
- public:
-  DecodedTrace(const CommittedTrace& trace, const Program& program);
-
-  std::size_t size() const { return steps_.size(); }
-  const DecodedStep& at(std::size_t i) const { return steps_[i]; }
-
-  // Heap footprint of the decoded array, for observability.
-  std::uint64_t memory_bytes() const {
-    return steps_.capacity() * sizeof(DecodedStep);
-  }
-
- private:
-  std::vector<DecodedStep> steps_;
-};
-
-// Step source over a DecodedTrace; the batched replay pipeline's cursor.
-// One cursor per lane, all borrowing the same decoded array.
-class DecodedCursor {
- public:
-  explicit DecodedCursor(const DecodedTrace& trace) : trace_(&trace) {}
-
-  bool halted() const { return pos_ >= trace_->size(); }
-  std::uint32_t next_pc() const { return trace_->at(pos_).pc; }
-  const DecodedStep& step() { return trace_->at(pos_++); }
-
- private:
-  const DecodedTrace* trace_;
+  const DecodeTable* table_;
   std::size_t pos_ = 0;
 };
 

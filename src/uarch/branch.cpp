@@ -7,12 +7,12 @@ BranchPredictor::BranchPredictor(const BranchPredictorConfig& config)
       counters_(config.bimodal_entries, 1),  // weakly not-taken
       last_target_(config.target_entries, -1) {}
 
-bool BranchPredictor::predict_and_update(const Instruction& ins,
-                                         std::int32_t pc_index, bool taken,
+bool BranchPredictor::predict_and_update(Opcode op, std::int32_t pc_index,
+                                         bool taken,
                                          std::int32_t target_index) {
   if (config_.kind == BranchPredictorKind::kPerfect) return true;
 
-  if (is_branch(ins.op)) {
+  if (is_branch(op)) {
     ++stats_.conditional;
     bool predicted_taken = false;
     if (config_.kind == BranchPredictorKind::kBimodal ||
@@ -30,7 +30,7 @@ bool BranchPredictor::predict_and_update(const Instruction& ins,
     return correct;
   }
 
-  if (op_kind(ins.op) == OpKind::kJumpReg) {
+  if (op_kind(op) == OpKind::kJumpReg) {
     // Register-indirect jumps: predicted by the last observed target
     // (a one-entry-per-pc BTB). Perfect prediction never reaches here.
     ++stats_.indirect;

@@ -49,11 +49,11 @@ class BranchPredictor {
  public:
   explicit BranchPredictor(const BranchPredictorConfig& config);
 
-  // Consults and trains the predictor for the control instruction at index
-  // `pc_index` whose actual outcome is `taken` with successor
+  // Consults and trains the predictor for the control instruction `op` at
+  // index `pc_index` whose actual outcome is `taken` with successor
   // `target_index`. Returns true when the prediction was correct.
-  bool predict_and_update(const Instruction& ins, std::int32_t pc_index,
-                          bool taken, std::int32_t target_index);
+  bool predict_and_update(Opcode op, std::int32_t pc_index, bool taken,
+                          std::int32_t target_index);
 
   const BranchStats& stats() const { return stats_; }
   const BranchPredictorConfig& config() const { return config_; }

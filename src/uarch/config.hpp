@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "uarch/branch.hpp"
 
@@ -71,5 +72,14 @@ struct MachineConfig {
   PfuConfig pfu;
   BranchPredictorConfig branch;  // perfect by default, as in the paper
 };
+
+// Checks every field of `config` against its range (the table in
+// config.cpp): widths, windows and functional-unit counts are at least 1
+// and capped so no machine allocates gigabytes; cache lines and predictor
+// tables are powers of two; a cache holds a whole number of sets; every
+// latency lies in [0, 100000] cycles. Returns an empty string for a
+// buildable machine, otherwise a message naming the first bad field by its
+// JSON path (e.g. "dl1.line_bytes"), its range and its value.
+std::string validate(const MachineConfig& config);
 
 }  // namespace t1000

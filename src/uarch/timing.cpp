@@ -1,7 +1,6 @@
 #include "uarch/timing.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,15 +39,6 @@ namespace {
 
 constexpr std::uint64_t kNoDep = ~0ull;
 
-// How many instructions one batched lane commits before the round-robin
-// moves on. Large enough that a lane's simulated cache/RUU state stays hot
-// in the host caches across the burst; small enough that lanes sweep the
-// shared decoded trace in step. Striding by commits rather than cycles
-// keeps the lanes aligned on the same decoded-trace window even when
-// their configurations differ wildly in IPC, so the window stays resident
-// while every lane reads it.
-constexpr std::uint64_t kBatchStride = 16384;
-
 // Smallest power of two >= v (v >= 1): ring-buffer capacities, so indexing
 // is a mask instead of an integer division on the hot path.
 std::size_t pow2_ceil(std::size_t v) {
@@ -57,23 +47,30 @@ std::size_t pow2_ceil(std::size_t v) {
   return p;
 }
 
-// Step source backed by a live functional executor (the direct path).
-// Mirrors TraceCursor / DecodedCursor (sim/trace.hpp), the replay-backed
-// sources; the pipeline below is templated over the three so every path
-// runs the exact same cycle-level code, with decode_step() as the single
-// decoder.
+// Step source backed by a live functional executor (the direct path the
+// replay differential suite compares against). Mirrors TraceCursor
+// (sim/trace.hpp): both map a step to the same DecodeTable row, so the
+// pipeline below runs the exact same cycle-level code for either source.
 class ExecutorSource {
  public:
   ExecutorSource(const Program& program, const ExtInstTable* ext_table)
-      : exec_(program, ext_table), program_(program) {}
+      : exec_(program, ext_table), table_(program) {}
 
   bool halted() const { return exec_.halted(); }
-  std::uint32_t next_pc() const { return program_.pc_of(exec_.pc()); }
-  DecodedStep step() { return decode_step(exec_.step(), program_); }
+  std::uint32_t next_pc() const { return table_.row(exec_.pc()).pc; }
+  DecodedStep step() {
+    const StepInfo info = exec_.step();
+    return {.row = &table_.row(info.index),
+            .index = info.index,
+            .next_index = info.next_index,
+            .mem_addr = info.mem_addr,
+            .mem_size = info.mem_size,
+            .taken = info.branch_taken};
+  }
 
  private:
   Executor exec_;
-  const Program& program_;
+  DecodeTable table_;
 };
 
 struct RuuEntry {
@@ -160,8 +157,8 @@ class RecordingObserver final : public PfuListener {
     if (slot >= used_slots_) used_slots_ = slot + 1;
     Json args = Json::object();
     args["seq"] = Json(static_cast<long long>(e.seq));
-    args["pc"] = Json(e.step.info.index);
-    out_->trace.begin(std::string(mnemonic(e.step.info.ins.op)),
+    args["pc"] = Json(e.step.index);
+    out_->trace.begin(std::string(mnemonic(e.step.row->op)),
                       e.dispatch_cycle, kPipePid, tid, std::move(args));
     out_->trace.begin("exec", issue_cycle_[slot], kPipePid, tid);
     out_->trace.end(e.complete_cycle, kPipePid, tid);
@@ -244,8 +241,8 @@ class Pipeline {
         // the logical capacity.
         ruu_(pow2_ceil(static_cast<std::size_t>(config.ruu_size))),
         ruu_mask_(ruu_.size() - 1),
-        fetch_ring_(pow2_ceil(static_cast<std::size_t>(
-            std::max(1, config.fetch_queue_size)))),
+        fetch_ring_(
+            pow2_ceil(static_cast<std::size_t>(config.fetch_queue_size))),
         fetch_mask_(fetch_ring_.size() - 1),
         store_ring_(ruu_.size()),
         store_mask_(store_ring_.size() - 1),
@@ -266,13 +263,21 @@ class Pipeline {
     }
   }
 
+  // Runs the machine until it drains and returns the statistics; call
+  // exactly once. Throws SimError when the cycle bound is exceeded.
+  SimStats run() {
+    while (!drained()) step_cycle();
+    stats_.cycles = now_;
+    collect();
+    if constexpr (Obs::kEnabled) obs_.finish();
+    return stats_;
+  }
+
+ private:
   bool drained() const {
     return source_.halted() && fq_head_ == fq_tail_ && head_ == tail_;
   }
 
-  // One machine cycle. The batched driver interleaves step_cycle() calls
-  // across lanes; run() below is the single-lane loop. Throws SimError
-  // when the cycle bound is exceeded.
   void step_cycle() {
     if (now_ > max_cycles_) throw SimError("timing: cycle bound exceeded");
     const int commits = commit();
@@ -290,24 +295,6 @@ class Pipeline {
     ++now_;
   }
 
-  // Instructions committed so far (the batch driver's stride measure).
-  std::uint64_t committed() const { return stats_.committed; }
-
-  // Finalizes and returns the statistics; call exactly once, after
-  // drained() turns true.
-  SimStats finish() {
-    stats_.cycles = now_;
-    collect();
-    if constexpr (Obs::kEnabled) obs_.finish();
-    return stats_;
-  }
-
-  SimStats run() {
-    while (!drained()) step_cycle();
-    return finish();
-  }
-
- private:
   RuuEntry& entry(std::uint64_t seq) {
     return ruu_[static_cast<std::size_t>(seq) & ruu_mask_];
   }
@@ -384,11 +371,9 @@ class Pipeline {
           store_ring_[static_cast<std::size_t>(i) & store_mask_];
       if (s >= e.seq) break;
       const RuuEntry& p = entry(s);
-      const std::uint32_t lo =
-          std::max(p.step.info.mem_addr, e.step.info.mem_addr);
-      const std::uint32_t hi =
-          std::min(p.step.info.mem_addr + p.step.info.mem_size,
-                   e.step.info.mem_addr + e.step.info.mem_size);
+      const std::uint32_t lo = std::max(p.step.mem_addr, e.step.mem_addr);
+      const std::uint32_t hi = std::min(p.step.mem_addr + p.step.mem_size,
+                                        e.step.mem_addr + e.step.mem_size);
       if (lo >= hi) continue;  // disjoint
       if (!p.completed || p.complete_cycle > now) {
         if (earliest != nullptr) {
@@ -422,7 +407,7 @@ class Pipeline {
     if (!deps_ready(e, now_, &e.wake)) return false;
 
     int latency = 1;
-    switch (e.step.fu) {
+    switch (e.step.row->fu) {
       case FuClass::kIntAlu:
       case FuClass::kBranch:
         if (alus == config_.int_alus) return false;
@@ -438,7 +423,7 @@ class Pipeline {
         if (mshrs_free <= 0) return false;  // conservative: no free slot
         if (!older_stores_done(e, now_, &e.wake)) return false;
         ++ports;
-        latency = dmem_.access(e.step.info.mem_addr, /*is_write=*/false);
+        latency = dmem_.access(e.step.mem_addr, /*is_write=*/false);
         if (latency > config_.dl1.hit_latency) {
           e.long_miss = true;
           --mshrs_free;
@@ -449,7 +434,7 @@ class Pipeline {
         if (ports == config_.mem_ports) return false;
         if (mshrs_free <= 0) return false;
         ++ports;
-        latency = dmem_.access(e.step.info.mem_addr, /*is_write=*/true);
+        latency = dmem_.access(e.step.mem_addr, /*is_write=*/true);
         if (latency > config_.dl1.hit_latency) {
           e.long_miss = true;
           --mshrs_free;
@@ -461,7 +446,7 @@ class Pipeline {
           return false;
         }
         if (!ext_latency_.empty()) {
-          latency = ext_latency_[e.step.info.ins.conf];
+          latency = ext_latency_[e.step.row->conf];
         }
         break;
       case FuClass::kNone:
@@ -519,20 +504,21 @@ class Pipeline {
       e.seq = tail_;
       e.dispatch_cycle = now_;
 
-      for (int i = 0; i < e.step.srcs.count; ++i) {
-        const std::uint64_t w = last_writer_[e.step.srcs.reg[i]];
+      const DecodeRow& row = *e.step.row;
+      for (int i = 0; i < row.srcs.count; ++i) {
+        const std::uint64_t w = last_writer_[row.srcs.reg[i]];
         if (w != kNoDep && w >= head_) e.deps[e.num_deps++] = w;
       }
-      if (e.step.dst >= 0) {
-        last_writer_[e.step.dst] = tail_;
+      if (row.dst >= 0) {
+        last_writer_[row.dst] = tail_;
       }
-      if (e.step.dst2 >= 0) {
-        last_writer_[e.step.dst2] = tail_;
+      if (row.dst2 >= 0) {
+        last_writer_[row.dst2] = tail_;
       }
-      if (e.step.is_ext) {
-        e.pfu_ready = pfus_.request(e.step.info.ins.conf, now_);
+      if (row.is_ext) {
+        e.pfu_ready = pfus_.request(row.conf, now_);
       }
-      if (e.step.is_store) {
+      if (row.is_store) {
         store_ring_[static_cast<std::size_t>(st_tail_++) & store_mask_] =
             tail_;
       }
@@ -584,12 +570,11 @@ class Pipeline {
       ready = std::max(ready, current_line_ready_);
 
       const DecodedStep step = source_.step();
-      if (step.info.index >= program_.size()) return;  // off-the-end halt
+      if (step.index >= program_.size()) return;  // off-the-end halt
       bool correct = true;
-      if (step.is_ctrl) {
-        correct = bpred_.predict_and_update(step.info.ins, step.info.index,
-                                            step.info.branch_taken,
-                                            step.info.next_index);
+      if (step.row->is_ctrl) {
+        correct = bpred_.predict_and_update(step.row->op, step.index,
+                                            step.taken, step.next_index);
       }
       FetchSlot& slot =
           fetch_ring_[static_cast<std::size_t>(fq_tail_++) & fetch_mask_];
@@ -601,7 +586,7 @@ class Pipeline {
         blocked_on_branch_ = true;
         return;
       }
-      if (step.info.branch_taken) return;  // no fetching past a taken branch
+      if (step.taken) return;  // no fetching past a taken branch
       if (fetch_stall_until_ > now_) return;
     }
   }
@@ -623,14 +608,14 @@ class Pipeline {
         // pure pipeline fill bubble.
         if (e.dispatch_cycle >= now) return StallCause::kFrontend;
         if (!deps_ready(e, now)) return StallCause::kOperandWait;
-        if (e.step.fu == FuClass::kPfu && e.pfu_ready > now) {
+        const FuClass fu = e.step.row->fu;
+        if (fu == FuClass::kPfu && e.pfu_ready > now) {
           return StallCause::kExtReconfig;
         }
-        if (e.step.fu == FuClass::kMemRead && !older_stores_done(e, now)) {
+        if (fu == FuClass::kMemRead && !older_stores_done(e, now)) {
           return StallCause::kOperandWait;
         }
-        if ((e.step.fu == FuClass::kMemRead ||
-             e.step.fu == FuClass::kMemWrite) &&
+        if ((fu == FuClass::kMemRead || fu == FuClass::kMemWrite) &&
             config_.max_outstanding_misses != 0 &&
             misses_in_flight(now) >= config_.max_outstanding_misses) {
           return StallCause::kMshrFull;
@@ -715,49 +700,24 @@ class Pipeline {
   SimStats stats_;
 };
 
-// Runs the lanes listed in `lane_ids` (indices into request.lanes), all
-// sharing one observer instantiation, writing each lane's outcome into
-// `results`. Lanes advance round-robin in kBatchStride-cycle bursts; they
-// are fully independent machines, so any interleaving produces the same
-// per-lane results as running them to completion one after another.
-template <class Obs>
-void run_lanes(const BatchSimRequest& request, const DecodedTrace& decoded,
-               const std::vector<std::size_t>& lane_ids,
-               std::vector<BatchLaneResult>* results) {
-  using LanePipeline = Pipeline<DecodedCursor, Obs>;
-  std::vector<std::unique_ptr<LanePipeline>> lanes;
-  lanes.reserve(lane_ids.size());
-  for (const std::size_t id : lane_ids) {
-    const BatchSimRequest::Lane& lane = request.lanes[id];
-    lanes.push_back(std::make_unique<LanePipeline>(
-        DecodedCursor(decoded), *request.program, request.ext_table,
-        lane.machine, lane.max_cycles, lane.observation));
+// Validates the machine, then runs one pipeline over `source` to
+// completion. Single replay, every batch lane and the direct path all come
+// through here.
+template <class Source>
+SimStats run_pipeline(Source source, const SimRequest& request) {
+  if (const std::string bad = validate(request.machine); !bad.empty()) {
+    throw SimError("timing: machine config: " + bad);
   }
-  std::size_t live = lanes.size();
-  while (live > 0) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      LanePipeline* lane = lanes[i].get();
-      if (lane == nullptr) continue;
-      BatchLaneResult& out = (*results)[lane_ids[i]];
-      try {
-        const std::uint64_t target = lane->committed() + kBatchStride;
-        while (lane->committed() < target && !lane->drained()) {
-          lane->step_cycle();
-        }
-        if (lane->drained()) {
-          out.stats = lane->finish();
-          lanes[i].reset();
-          --live;
-        }
-      } catch (...) {
-        // Per-lane fault isolation: this lane dies (cycle bound, ...);
-        // the others keep sweeping.
-        out.error = std::current_exception();
-        lanes[i].reset();
-        --live;
-      }
-    }
+  if (request.observation != nullptr) {
+    return Pipeline<Source, RecordingObserver>(
+               std::move(source), *request.program, request.ext_table,
+               request.machine, request.max_cycles, request.observation)
+        .run();
   }
+  return Pipeline<Source, NullObserver>(std::move(source), *request.program,
+                                        request.ext_table, request.machine,
+                                        request.max_cycles, nullptr)
+      .run();
 }
 
 }  // namespace
@@ -766,32 +726,12 @@ SimStats simulate(const SimRequest& request) {
   if (request.program == nullptr) {
     throw SimError("simulate: request.program is required");
   }
-  const Program& program = *request.program;
   if (request.trace != nullptr) {
-    if (request.observation != nullptr) {
-      return Pipeline<TraceCursor, RecordingObserver>(
-                 TraceCursor(*request.trace, program), program,
-                 request.ext_table, request.machine, request.max_cycles,
-                 request.observation)
-          .run();
-    }
-    return Pipeline<TraceCursor, NullObserver>(
-               TraceCursor(*request.trace, program), program,
-               request.ext_table, request.machine, request.max_cycles,
-               nullptr)
-        .run();
+    const DecodedTrace decoded(*request.trace, *request.program);
+    return run_pipeline(TraceCursor(decoded), request);
   }
-  if (request.observation != nullptr) {
-    return Pipeline<ExecutorSource, RecordingObserver>(
-               ExecutorSource(program, request.ext_table), program,
-               request.ext_table, request.machine, request.max_cycles,
-               request.observation)
-        .run();
-  }
-  return Pipeline<ExecutorSource, NullObserver>(
-             ExecutorSource(program, request.ext_table), program,
-             request.ext_table, request.machine, request.max_cycles, nullptr)
-      .run();
+  return run_pipeline(ExecutorSource(*request.program, request.ext_table),
+                      request);
 }
 
 std::vector<BatchLaneResult> simulate_replay_batch(
@@ -800,22 +740,22 @@ std::vector<BatchLaneResult> simulate_replay_batch(
     throw SimError("simulate_replay_batch: program and trace are required");
   }
   std::vector<BatchLaneResult> results(request.lanes.size());
-  if (request.lanes.empty()) return results;
-  // The amortization: one decode of the committed trace serves every lane.
   const DecodedTrace decoded(*request.trace, *request.program);
-  // Observed and unobserved lanes take differently-instantiated pipelines
-  // (the null observer compiles the observation layer out), so partition
-  // by observer and run each group; results land by lane id either way.
-  std::vector<std::size_t> plain;
-  std::vector<std::size_t> observed;
+  // Lanes are independent machines, each run to completion on its own
+  // cursor over the shared table. A lane that fails (bad machine, cycle
+  // bound, ...) fails alone; the others still run.
   for (std::size_t i = 0; i < request.lanes.size(); ++i) {
-    (request.lanes[i].observation != nullptr ? observed : plain).push_back(i);
-  }
-  if (!plain.empty()) {
-    run_lanes<NullObserver>(request, decoded, plain, &results);
-  }
-  if (!observed.empty()) {
-    run_lanes<RecordingObserver>(request, decoded, observed, &results);
+    const BatchSimRequest::Lane& lane = request.lanes[i];
+    try {
+      results[i].stats = run_pipeline(TraceCursor(decoded),
+                                      {.program = request.program,
+                                       .ext_table = request.ext_table,
+                                       .machine = lane.machine,
+                                       .max_cycles = lane.max_cycles,
+                                       .observation = lane.observation});
+    } catch (...) {
+      results[i].error = std::current_exception();
+    }
   }
   return results;
 }

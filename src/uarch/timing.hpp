@@ -167,18 +167,18 @@ struct SimRequest {
 };
 
 // Runs one timing simulation described by `request` and returns the
-// statistics. Throws SimError if the request is malformed, the program
-// exceeds max_cycles, or the simulation misbehaves.
+// statistics. Throws SimError if the request is malformed, the machine
+// fails validate() (uarch/config.hpp), the program exceeds max_cycles, or
+// the simulation misbehaves.
 SimStats simulate(const SimRequest& request);
 
-// Config-parallel batched replay: N machine configurations timed in one
-// sweep of one committed trace. The trace is decoded once up front
-// (sim/trace.hpp, DecodedTrace) and every lane replays the decoded form,
-// so the per-step decode cost is paid once instead of N times. Each lane
+// Config-parallel batched replay: N machine configurations timed as lanes
+// over one committed trace. The per-program decode table (sim/trace.hpp,
+// DecodedTrace) is built once per call and every lane runs to completion
+// through the single-replay pipeline on its own cursor over it. Each lane
 // is an independent pipeline (its own caches, TLBs, predictor, PFU bank,
-// RUU) — lane results are byte-identical to N sequential simulate()
-// replay calls, in any lane order, which the batch differential tests
-// pin.
+// RUU) — lane results are byte-identical to N sequential simulate() replay
+// calls, in any lane order, which the batch differential tests pin.
 struct BatchSimRequest {
   const Program* program = nullptr;        // required
   const ExtInstTable* ext_table = nullptr; // may be null
@@ -204,7 +204,8 @@ struct BatchLaneResult {
 
 // Runs every lane of `request` and returns their results in lane order.
 // Throws SimError only for a malformed request (missing program/trace);
-// per-lane failures are reported in the corresponding BatchLaneResult.
+// per-lane failures, including a lane machine that fails validate(), are
+// reported in the corresponding BatchLaneResult.
 std::vector<BatchLaneResult> simulate_replay_batch(
     const BatchSimRequest& request);
 

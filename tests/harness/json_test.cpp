@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/serialize.hpp"
 
 namespace t1000 {
@@ -75,6 +77,34 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("nul"), JsonError);
   EXPECT_THROW(Json::parse("1 2"), JsonError);
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(arrays(Json::kMaxDepth - 1)));
+  EXPECT_NO_THROW(Json::parse(arrays(Json::kMaxDepth)));
+  try {
+    Json::parse(arrays(Json::kMaxDepth + 1));
+    FAIL() << "expected JsonError past the nesting limit";
+  } catch (const JsonError& e) {
+    // Names the limit and where the first container past it opens.
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(Json::kMaxDepth)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("offset " + std::to_string(Json::kMaxDepth)),
+              std::string::npos)
+        << what;
+  }
+  // Objects count the same way, and hostile depth is an error, not a
+  // stack overflow.
+  std::string objects;
+  for (int i = 0; i <= Json::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(Json::kMaxDepth + 1, '}');
+  EXPECT_THROW(Json::parse(objects), JsonError);
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonError);
 }
 
 TEST(Json, TypeErrors) {

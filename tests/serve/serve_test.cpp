@@ -221,6 +221,32 @@ TEST(Service, MalformedSubmissionsAre400WithDiagnostics) {
   EXPECT_EQ(list.at("jobs").size(), 0u);
 }
 
+TEST(Service, DegenerateMachinesAndDeepBodiesAre400) {
+  // Each of these used to crash or hang the daemon: a zero cache line or
+  // size divides by zero, a zero fetch width never drains, and deep
+  // nesting overflowed the parser's stack.
+  SimService service(ServiceOptions{});
+  const auto expect_400_naming = [&](const std::string& body,
+                                     const std::string& needle) {
+    const HttpResponse r = service.handle_http(post("/v1/jobs", body));
+    EXPECT_EQ(r.status, 400) << body.substr(0, 80);
+    EXPECT_NE(r.body.find(needle), std::string::npos) << r.body;
+  };
+  const auto run_on = [](const std::string& machine) {
+    return "{\"runs\": [{\"workload\": \"gsm_dec\", \"machine\": " +
+           machine + "}]}";
+  };
+  expect_400_naming(run_on("{\"dl1\": {\"line_bytes\": 0}}"),
+                    "dl1.line_bytes");
+  expect_400_naming(run_on("{\"dl1\": {\"size_bytes\": 0}}"), "dl1.");
+  expect_400_naming(run_on("{\"fetch_width\": 0}"), "fetch_width");
+  expect_400_naming(run_on("{\"ruu_size\": 2000000000}"), "ruu_size");
+  expect_400_naming(std::string(100000, '['), "nesting");
+
+  const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
+  EXPECT_EQ(list.at("jobs").size(), 0u);
+}
+
 TEST(Service, RoutesAndMethodsAreEnforced) {
   SimService service(ServiceOptions{});
   EXPECT_EQ(service.handle_http(get("/healthz")).status, 200);

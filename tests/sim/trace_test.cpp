@@ -108,40 +108,22 @@ TEST(Trace, ThrowsWhenProgramDoesNotHalt) {
 TEST(Trace, CursorWalksWholeTraceOnce) {
   const Program p = loop_program();
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
-  TraceCursor cursor(trace, p);
+  const DecodedTrace decoded(trace, p);
+  TraceCursor cursor(decoded);
   std::size_t steps = 0;
   while (!cursor.halted()) {
-    EXPECT_EQ(cursor.next_pc(), p.pc_of(trace.index_at(steps)));
+    const StepInfo want = trace.step_at(steps, p);
+    EXPECT_EQ(cursor.next_pc(), p.pc_of(want.index));
     const DecodedStep step = cursor.step();
-    EXPECT_EQ(step.info.index, trace.index_at(steps));
+    EXPECT_EQ(step.row, &decoded.table().row(want.index));
+    EXPECT_EQ(step.index, want.index);
+    EXPECT_EQ(step.next_index, want.next_index);
+    EXPECT_EQ(step.mem_addr, want.mem_addr);
+    EXPECT_EQ(step.mem_size, want.mem_size);
+    EXPECT_EQ(step.taken, want.branch_taken);
     ++steps;
   }
   EXPECT_EQ(steps, trace.size());
-}
-
-TEST(Trace, DecodedCursorMatchesTraceCursor) {
-  // The batch replay path pre-decodes the whole trace once (DecodedTrace);
-  // its cursor must hand out exactly what the decode-on-the-fly cursor does.
-  const Program p = loop_program();
-  const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
-  const DecodedTrace decoded(trace, p);
-  ASSERT_EQ(decoded.size(), trace.size());
-  TraceCursor on_the_fly(trace, p);
-  DecodedCursor pre(decoded);
-  while (!on_the_fly.halted()) {
-    ASSERT_FALSE(pre.halted());
-    EXPECT_EQ(on_the_fly.next_pc(), pre.next_pc());
-    const DecodedStep a = on_the_fly.step();
-    const DecodedStep& b = pre.step();
-    EXPECT_EQ(a.info.index, b.info.index);
-    EXPECT_EQ(a.pc, b.pc);
-    EXPECT_EQ(a.fu, b.fu);
-    EXPECT_EQ(a.dst, b.dst);
-    EXPECT_EQ(a.is_ctrl, b.is_ctrl);
-    EXPECT_EQ(a.is_store, b.is_store);
-    EXPECT_EQ(a.is_ext, b.is_ext);
-  }
-  EXPECT_TRUE(pre.halted());
 }
 
 TEST(Trace, MemoryFootprintIsCompact) {

@@ -8,7 +8,7 @@
 namespace t1000 {
 namespace {
 
-Instruction beq() { return make_branch2(Opcode::kBeq, 1, 2, 0); }
+Opcode beq() { return make_branch2(Opcode::kBeq, 1, 2, 0).op; }
 
 TEST(BranchPredictor, PerfectAlwaysCorrect) {
   BranchPredictor bp({.kind = BranchPredictorKind::kPerfect});
@@ -58,7 +58,7 @@ TEST(BranchPredictor, SeparateCountersPerPc) {
 
 TEST(BranchPredictor, IndirectJumpLastTarget) {
   BranchPredictor bp({.kind = BranchPredictorKind::kBimodal});
-  const Instruction jr = make_jr(31);
+  const Opcode jr = make_jr(31).op;
   EXPECT_FALSE(bp.predict_and_update(jr, 9, true, 50));  // cold
   EXPECT_TRUE(bp.predict_and_update(jr, 9, true, 50));   // repeats
   EXPECT_FALSE(bp.predict_and_update(jr, 9, true, 60));  // target changed
@@ -68,8 +68,8 @@ TEST(BranchPredictor, IndirectJumpLastTarget) {
 
 TEST(BranchPredictor, DirectJumpsAlwaysPredicted) {
   BranchPredictor bp({.kind = BranchPredictorKind::kBimodal});
-  EXPECT_TRUE(bp.predict_and_update(make_jump(Opcode::kJ, 3), 9, true, 3));
-  EXPECT_TRUE(bp.predict_and_update(make_jump(Opcode::kJal, 3), 9, true, 3));
+  EXPECT_TRUE(bp.predict_and_update(make_jump(Opcode::kJ, 3).op, 9, true, 3));
+  EXPECT_TRUE(bp.predict_and_update(make_jump(Opcode::kJal, 3).op, 9, true, 3));
 }
 
 // --- pipeline integration ---
@@ -146,7 +146,7 @@ TEST(BranchPredictor, GshareLearnsAlternatingPattern) {
   // trivial pattern for gshare's history-indexed counters.
   BranchPredictor bimodal({.kind = BranchPredictorKind::kBimodal});
   BranchPredictor gshare({.kind = BranchPredictorKind::kGshare});
-  const Instruction ins = make_branch2(Opcode::kBeq, 1, 2, 0);
+  const Opcode ins = make_branch2(Opcode::kBeq, 1, 2, 0).op;
   int bimodal_miss = 0;
   int gshare_miss = 0;
   for (int i = 0; i < 400; ++i) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "harness/serialize.hpp"
 #include "sim/profiler.hpp"
@@ -17,6 +18,10 @@
 using namespace t1000;
 
 int main(int argc, char** argv) {
+  // Numeric flags are only held to what fits the config's int fields;
+  // validate() below owns the machine's ranges.
+  constexpr long kIntMin = std::numeric_limits<int>::min();
+  constexpr long kIntMax = std::numeric_limits<int>::max();
   tools::ToolOptions common;
   std::string pfus = "0";
   long reconfig = 10;
@@ -29,15 +34,15 @@ int main(int argc, char** argv) {
   parser.add_string("--pfus", "N|unlimited", "programmable functional units",
                     &pfus);
   parser.add_int("--reconfig", "N", "PFU reconfiguration latency in cycles",
-                 &reconfig, 0, 1 << 20);
+                 &reconfig, kIntMin, kIntMax);
   parser.add_flag("--bimodal", "bimodal branch predictor (default: perfect)",
                   &bimodal);
   parser.add_flag("--multi-cycle-ext", "EXT ops take their full base latency",
                   &multi_cycle_ext);
-  parser.add_int("--ruu", "N", "register update unit entries", &ruu, 1,
-                 1 << 20);
-  parser.add_int("--width", "N", "fetch/decode/issue/commit width", &width, 1,
-                 64);
+  parser.add_int("--ruu", "N", "register update unit entries", &ruu,
+                 kIntMin, kIntMax);
+  parser.add_int("--width", "N", "fetch/decode/issue/commit width", &width,
+                 kIntMin, kIntMax);
   bool replay = false;
   parser.add_flag("--replay",
                   "time via committed-trace record + replay instead of "
@@ -61,12 +66,14 @@ int main(int argc, char** argv) {
     cfg.pfu.count = PfuConfig::kUnlimited;
   } else {
     char* end = nullptr;
-    cfg.pfu.count = static_cast<int>(std::strtol(pfus.c_str(), &end, 0));
-    if (end == pfus.c_str() || *end != '\0' || cfg.pfu.count < 0) {
+    const long count = std::strtol(pfus.c_str(), &end, 0);
+    if (end == pfus.c_str() || *end != '\0' || count < kIntMin ||
+        count > kIntMax) {
       std::fprintf(stderr, "t1000-sim: bad value '%s' for option '--pfus'\n",
                    pfus.c_str());
       return 2;
     }
+    cfg.pfu.count = static_cast<int>(count);
   }
   cfg.pfu.reconfig_latency = static_cast<int>(reconfig);
   cfg.pfu.multi_cycle_ext = multi_cycle_ext;
@@ -74,6 +81,10 @@ int main(int argc, char** argv) {
   cfg.ruu_size = static_cast<int>(ruu);
   cfg.fetch_width = cfg.decode_width = cfg.issue_width = cfg.commit_width =
       static_cast<int>(width);
+  if (const std::string bad = validate(cfg); !bad.empty()) {
+    std::fprintf(stderr, "t1000-sim: bad machine: %s\n", bad.c_str());
+    return 2;
+  }
 
   try {
     const LoadedObject obj = tools::load_input(input);
