@@ -303,7 +303,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     obs::Counter* cache_hits = nullptr;
     obs::Counter* simulated = nullptr;
     obs::Counter* incomplete = nullptr;
-    obs::Span* run_wall = nullptr;
     obs::Histogram* run_wall_ms = nullptr;
     obs::Histogram* cache_phase_ms = nullptr;
   } metrics;
@@ -312,7 +311,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     metrics.cache_hits = options.metrics->counter("grid.cache_hits");
     metrics.simulated = options.metrics->counter("grid.simulated");
     metrics.incomplete = options.metrics->counter("grid.runs_incomplete");
-    metrics.run_wall = options.metrics->span("grid.run_wall");
     metrics.run_wall_ms = options.metrics->histogram(
         "grid.run_wall_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
                              5000, 10000});
@@ -402,17 +400,34 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   std::mutex error_mu;
   std::exception_ptr first_error;
 
-  // Called on the worker after a run fails or times out: records the
-  // verdict, trips the strict/fail-limit abort, and keeps the first
+  // Every path below — a singleton group's run, a batch lane, a duplicate
+  // served after its twin — ends a run through exactly one of skip, finish
+  // or fail, so the status, wall_ms and metrics of a run never depend on
+  // which path produced it.
+  const auto skip = [&](RunResult& out) {
+    out.status = RunStatus::kSkipped;
+    out.error = options.strict
+                    ? "skipped: an earlier run failed in strict mode"
+                    : "skipped: the grid's fail limit was reached";
+  };
+  // A GridTimeoutError is a timeout, anything else an error of its
+  // classified kind. Trips the strict/fail-limit abort and keeps the first
   // exception for strict mode's post-drain rethrow. Never lets a worker
   // exit early — the queue must drain so every spec gets a status.
-  const auto record_failure = [&](RunResult& out, RunStatus status,
-                                  RunErrorKind kind, std::string message,
-                                  std::exception_ptr error) {
-    out.status = status;
-    out.error_kind = kind;
-    out.error = std::move(message);
+  const auto fail = [&](RunResult& out, double wall_ms,
+                        std::exception_ptr error) {
+    out.wall_ms = wall_ms;
     out.outcome = RunOutcome{};  // drop any partially filled outcome
+    try {
+      std::rethrow_exception(error);
+    } catch (const GridTimeoutError& e) {
+      out.status = RunStatus::kTimeout;
+      out.error_kind = RunErrorKind::kNone;
+      out.error = e.what();
+    } catch (...) {
+      out.status = RunStatus::kError;
+      out.error_kind = classify_current_exception(&out.error);
+    }
     if (metrics.incomplete != nullptr) metrics.incomplete->add(1);
     const std::uint64_t count =
         failures.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -420,10 +435,41 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
         (options.fail_limit > 0 && count >= options.fail_limit)) {
       abort.store(true, std::memory_order_relaxed);
     }
-    if (options.strict && error) {
+    if (options.strict) {
       std::lock_guard<std::mutex> lock(error_mu);
       if (!first_error) first_error = std::move(error);
     }
+  };
+  // A run whose outcome is in hand, from the cache or a simulation. The
+  // budget is checked after the fact: a slow run is a timeout.
+  const auto finish = [&](RunResult& out, double wall_ms) {
+    if (metrics.runs != nullptr) {
+      metrics.runs->add(1);
+      if (out.cache_hit) metrics.cache_hits->add(1);
+      else metrics.simulated->add(1);
+    }
+    out.wall_ms = wall_ms;
+    if (metrics.run_wall_ms != nullptr) {
+      metrics.run_wall_ms->observe(static_cast<std::uint64_t>(wall_ms));
+    }
+    if (options.run_budget_ms > 0 && wall_ms > options.run_budget_ms) {
+      fail(out, wall_ms,
+           std::make_exception_ptr(GridTimeoutError(strprintf(
+               "run exceeded wall-clock budget: %.1f ms > %.1f ms", wall_ms,
+               options.run_budget_ms))));
+    } else {
+      out.status = RunStatus::kOk;
+    }
+  };
+  // A cache miss simulated on its own, inside a "run" span the
+  // experiment's phase spans parent under.
+  const auto run_solo = [&](RunResult& out, const CacheKey& key) {
+    obs::Journal::SpanScope run_span(journal, obs::current_trace_context(),
+                                     "run", run_attrs(out.spec));
+    const obs::ScopedTraceContext run_scope(run_span.context());
+    WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
+    out.outcome = slot.experiment_for().run(out.spec);
+    cache_store(cache, key, out.outcome);
   };
 
   const auto worker = [&] {
@@ -436,9 +482,9 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
       if (g >= groups.size()) return;
       const std::vector<std::size_t>& group = groups[g];
       // Stage 1: per-run pre-flight — flag stamping, abort check, fault
-      // hook, cache lookup — and, for singleton groups, the run itself:
-      // the historical per-spec path, verbatim. Multi-spec groups only
-      // defer the simulation of their cache misses to stage 2.
+      // hook, cache lookup — and, for singleton groups, the run itself.
+      // Multi-spec groups only defer the simulation of their cache misses
+      // to stage 2.
       std::vector<std::size_t> misses;
       std::vector<CacheKey> miss_keys;
       // Specs whose key duplicates an earlier miss in this group: served
@@ -454,89 +500,45 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
         if (options.verify) out.spec.verify = true;
         if (options.observe) out.spec.observe = true;
         if (abort.load(std::memory_order_relaxed)) {
-          out.status = RunStatus::kSkipped;
-          out.error = options.strict
-                          ? "skipped: an earlier run failed in strict mode"
-                          : "skipped: the grid's fail limit was reached";
+          skip(out);
           continue;
         }
         const auto run_start = std::chrono::steady_clock::now();
         try {
           if (options.fault_hook) options.fault_hook(out.spec);
-          bool deferred = false;
-          {
-            const auto scope = metrics.run_wall != nullptr
-                                   ? std::make_unique<obs::Span::Scope>(
-                                         metrics.run_wall)
-                                   : nullptr;
-            WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
-            const CacheKey key = make_cache_key(
-                out.spec, slot.program_hash_for(), slot.workload->max_steps);
-            bool dup = false;
-            for (const CacheKey& seen : miss_keys) {
-              if (seen.text == key.text) {
-                dup = true;
-                break;
-              }
-            }
-            if (dup) {
-              // Looking it up now would count a spurious miss; sequentially
-              // it would have hit the entry its twin already stored.
-              duplicates.push_back(i);
-              duplicate_keys.push_back(key);
-              deferred = true;
-            } else if (cache_lookup(cache, key, &out.outcome)) {
-              out.cache_hit = true;
-            } else if (group.size() > 1) {
-              misses.push_back(i);
-              miss_keys.push_back(key);
-              deferred = true;
-            } else {
-              obs::Journal::SpanScope run_span(journal,
-                                               obs::current_trace_context(),
-                                               "run", run_attrs(out.spec));
-              const obs::ScopedTraceContext run_scope(run_span.context());
-              out.outcome = slot.experiment_for().run(out.spec);
-              cache_store(cache, key, out.outcome);
-            }
+          WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
+          const CacheKey key = make_cache_key(
+              out.spec, slot.program_hash_for(), slot.workload->max_steps);
+          if (std::any_of(miss_keys.begin(), miss_keys.end(),
+                          [&](const CacheKey& seen) {
+                            return seen.text == key.text;
+                          })) {
+            // Looking it up now would count a spurious miss; sequentially
+            // it would have hit the entry its twin already stored.
+            duplicates.push_back(i);
+            duplicate_keys.push_back(key);
+            continue;
           }
-          if (deferred) continue;
-          if (metrics.runs != nullptr) {
-            metrics.runs->add(1);
-            if (out.cache_hit) metrics.cache_hits->add(1);
-            else metrics.simulated->add(1);
-          }
-          out.wall_ms = ms_since(run_start);
-          if (metrics.run_wall_ms != nullptr) {
-            metrics.run_wall_ms->observe(
-                static_cast<std::uint64_t>(out.wall_ms));
-          }
-          if (options.run_budget_ms > 0 &&
-              out.wall_ms > options.run_budget_ms) {
-            const std::string msg =
-                strprintf("run exceeded wall-clock budget: %.1f ms > %.1f ms",
-                          out.wall_ms, options.run_budget_ms);
-            record_failure(out, RunStatus::kTimeout, RunErrorKind::kNone, msg,
-                           std::make_exception_ptr(GridTimeoutError(msg)));
+          if (cache_lookup(cache, key, &out.outcome)) {
+            out.cache_hit = true;
+          } else if (group.size() > 1) {
+            misses.push_back(i);
+            miss_keys.push_back(key);
+            continue;
           } else {
-            out.status = RunStatus::kOk;
+            run_solo(out, key);
           }
-        } catch (const GridTimeoutError& e) {
-          out.wall_ms = ms_since(run_start);
-          record_failure(out, RunStatus::kTimeout, RunErrorKind::kNone,
-                         e.what(), std::current_exception());
+          finish(out, ms_since(run_start));
         } catch (...) {
-          out.wall_ms = ms_since(run_start);
-          std::string message;
-          const RunErrorKind kind = classify_current_exception(&message);
-          record_failure(out, RunStatus::kError, kind, std::move(message),
-                         std::current_exception());
+          fail(out, ms_since(run_start), std::current_exception());
         }
       }
       if (!misses.empty()) {
         // Stage 2: one config-parallel sweep over the group's cache misses.
         // Lane outcomes are byte-identical to sequential runs (pinned by
-        // tests); lane failures surface per run, exactly as before.
+        // tests); lane failures surface per run, and a whole-sweep failure
+        // (experiment construction, trace recording) fails every lane
+        // identically, as N sequential runs would have.
         const auto batch_start = std::chrono::steady_clock::now();
         std::vector<RunSpec> lane_specs;
         lane_specs.reserve(misses.size());
@@ -544,12 +546,8 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
           lane_specs.push_back(results[i].spec);
         }
         std::vector<WorkloadExperiment::BatchRunOutcome> lanes;
-        bool batch_ok = true;
+        std::exception_ptr batch_error;
         try {
-          const auto scope =
-              metrics.run_wall != nullptr
-                  ? std::make_unique<obs::Span::Scope>(metrics.run_wall)
-                  : nullptr;
           Json batch_attrs = run_attrs(lane_specs.front());
           batch_attrs["lanes"] = Json(misses.size());
           obs::Journal::SpanScope batch_span(journal,
@@ -559,54 +557,26 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
           WorkloadSlot& slot =
               slots[index_.find(lane_specs.front().workload)->second];
           lanes = slot.experiment_for().run_batch(lane_specs);
-        } catch (...) {
-          // Whole-sweep failure (experiment construction, trace recording):
-          // every lane fails identically, as N sequential runs would have.
-          batch_ok = false;
-          std::string message;
-          const RunErrorKind kind = classify_current_exception(&message);
-          const std::exception_ptr error = std::current_exception();
-          const double per_run_ms = ms_since(batch_start) /
-                                    static_cast<double>(misses.size());
-          for (const std::size_t i : misses) {
-            results[i].wall_ms = per_run_ms;
-            record_failure(results[i], RunStatus::kError, kind, message,
-                           error);
-          }
-        }
-        if (batch_ok) {
           batches.fetch_add(1, std::memory_order_relaxed);
           batched_runs.fetch_add(misses.size(), std::memory_order_relaxed);
-          // The sweep's wall-clock is shared work; attribute it evenly so
-          // per-run timings stay comparable across the two paths.
-          const double per_run_ms =
-              ms_since(batch_start) / static_cast<double>(misses.size());
-          for (std::size_t k = 0; k < misses.size(); ++k) {
-            RunResult& out = results[misses[k]];
-            out.wall_ms = per_run_ms;
-            if (lanes[k].error) {
-              try {
-                std::rethrow_exception(lanes[k].error);
-              } catch (...) {
-                std::string message;
-                const RunErrorKind kind = classify_current_exception(&message);
-                record_failure(out, RunStatus::kError, kind,
-                               std::move(message), lanes[k].error);
-              }
-              continue;
-            }
-            out.outcome = lanes[k].outcome;
-            cache_store(cache, miss_keys[k], out.outcome);
-            if (metrics.runs != nullptr) {
-              metrics.runs->add(1);
-              metrics.simulated->add(1);
-            }
-            if (metrics.run_wall_ms != nullptr) {
-              metrics.run_wall_ms->observe(
-                  static_cast<std::uint64_t>(out.wall_ms));
-            }
-            out.status = RunStatus::kOk;
+        } catch (...) {
+          batch_error = std::current_exception();
+        }
+        // The sweep's wall-clock is shared work; attribute it evenly so
+        // per-run timings stay comparable across the two paths.
+        const double per_run_ms =
+            ms_since(batch_start) / static_cast<double>(misses.size());
+        for (std::size_t k = 0; k < misses.size(); ++k) {
+          RunResult& out = results[misses[k]];
+          const std::exception_ptr error =
+              batch_error ? batch_error : lanes[k].error;
+          if (error) {
+            fail(out, per_run_ms, error);
+            continue;
           }
+          out.outcome = lanes[k].outcome;
+          cache_store(cache, miss_keys[k], out.outcome);
+          finish(out, per_run_ms);
         }
       }
       // Duplicates ride on the entry their twin stored; when the twin's
@@ -615,49 +585,19 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
       for (std::size_t k = 0; k < duplicates.size(); ++k) {
         RunResult& out = results[duplicates[k]];
         if (abort.load(std::memory_order_relaxed)) {
-          out.status = RunStatus::kSkipped;
-          out.error = options.strict
-                          ? "skipped: an earlier run failed in strict mode"
-                          : "skipped: the grid's fail limit was reached";
+          skip(out);
           continue;
         }
         const auto run_start = std::chrono::steady_clock::now();
         try {
-          {
-            const auto scope = metrics.run_wall != nullptr
-                                   ? std::make_unique<obs::Span::Scope>(
-                                         metrics.run_wall)
-                                   : nullptr;
-            if (cache_lookup(cache, duplicate_keys[k], &out.outcome)) {
-              out.cache_hit = true;
-            } else {
-              obs::Journal::SpanScope run_span(journal,
-                                               obs::current_trace_context(),
-                                               "run", run_attrs(out.spec));
-              const obs::ScopedTraceContext run_scope(run_span.context());
-              WorkloadSlot& slot =
-                  slots[index_.find(out.spec.workload)->second];
-              out.outcome = slot.experiment_for().run(out.spec);
-              cache_store(cache, duplicate_keys[k], out.outcome);
-            }
+          if (cache_lookup(cache, duplicate_keys[k], &out.outcome)) {
+            out.cache_hit = true;
+          } else {
+            run_solo(out, duplicate_keys[k]);
           }
-          if (metrics.runs != nullptr) {
-            metrics.runs->add(1);
-            if (out.cache_hit) metrics.cache_hits->add(1);
-            else metrics.simulated->add(1);
-          }
-          out.wall_ms = ms_since(run_start);
-          if (metrics.run_wall_ms != nullptr) {
-            metrics.run_wall_ms->observe(
-                static_cast<std::uint64_t>(out.wall_ms));
-          }
-          out.status = RunStatus::kOk;
+          finish(out, ms_since(run_start));
         } catch (...) {
-          out.wall_ms = ms_since(run_start);
-          std::string message;
-          const RunErrorKind kind = classify_current_exception(&message);
-          record_failure(out, RunStatus::kError, kind, std::move(message),
-                         std::current_exception());
+          fail(out, ms_since(run_start), std::current_exception());
         }
       }
     }
@@ -758,8 +698,8 @@ BenchOptions parse_bench_options(int argc, char** argv,
                   "breakdown to each outcome and a grid-level aggregate)",
                   &out.grid.observe);
   parser.add_string("--metrics-out", "FILE",
-                    "write the engine's metrics registry (grid.* counters, "
-                    "histograms, wall-clock spans) as JSON",
+                    "write the engine's metrics registry (grid.* counters "
+                    "and histograms) as JSON",
                     &out.metrics_path);
   long journal_max_bytes = 64l << 20;
   parser.add_string("--journal-out", "FILE",

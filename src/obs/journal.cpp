@@ -60,7 +60,6 @@ std::uint64_t Journal::new_id() {
 }
 
 void Journal::write_line_locked(const std::string& line) {
-  if (file_ == nullptr) return;
   if (options_.max_bytes > 0 &&
       file_bytes_ + line.size() > options_.max_bytes && file_bytes_ > 0) {
     // Bounded-size rotation: the active file moves to <path>.1 (replacing
@@ -98,7 +97,9 @@ void Journal::append(JournalEvent event) {
   event.ts_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start_)
                     .count();
-  write_line_locked(journal_event_line(event));
+  // Rendering costs a full Json dump under the mutex; without a disk tier
+  // (the daemon's default) nothing would read the line.
+  if (file_ != nullptr) write_line_locked(journal_event_line(event));
   ring_.push_back(std::move(event));
   if (options_.ring_capacity > 0 && ring_.size() > options_.ring_capacity) {
     ring_.pop_front();

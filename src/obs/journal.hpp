@@ -167,7 +167,7 @@ class Journal {
   const std::string& path() const { return options_.path; }
 
  private:
-  void write_line_locked(const std::string& line);
+  void write_line_locked(const std::string& line);  // file_ must be open
 
   Options options_;
   std::chrono::steady_clock::time_point start_;

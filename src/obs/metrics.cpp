@@ -86,18 +86,6 @@ Histogram* MetricsRegistry::histogram(std::string_view name,
   return it->second.histogram.get();
 }
 
-Span* MetricsRegistry::span(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    it = instruments_.emplace(std::string(name), Instrument{}).first;
-    it->second.span = std::make_unique<Span>();
-  } else if (!it->second.span) {
-    registration_conflict(name, "already registered as a different kind");
-  }
-  return it->second.span.get();
-}
-
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return instruments_.size();
@@ -111,7 +99,7 @@ Json MetricsRegistry::to_json() const {
     if (inst.counter) {
       j["type"] = Json("counter");
       j["value"] = json_u64(inst.counter->value());
-    } else if (inst.histogram) {
+    } else {
       const Histogram& h = *inst.histogram;
       j["type"] = Json("histogram");
       Json bounds = Json::array();
@@ -124,10 +112,6 @@ Json MetricsRegistry::to_json() const {
       j["buckets"] = std::move(buckets);
       j["count"] = json_u64(h.count());
       j["sum"] = json_u64(h.sum());
-    } else {
-      j["type"] = Json("span");
-      j["count"] = json_u64(inst.span->count());
-      j["total_ns"] = json_u64(inst.span->total_ns());
     }
     doc[name] = std::move(j);
   }

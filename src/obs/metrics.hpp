@@ -1,5 +1,6 @@
-// The harness metrics registry: named counters, fixed-bucket histograms,
-// and scoped wall-clock spans.
+// The harness metrics registry: named counters and fixed-bucket histograms.
+// Intervals are not a metric kind: obs::Journal records when a job or a
+// simulation started and ended, as spans, and histograms bucket durations.
 //
 // Instruments hang off a MetricsRegistry by name. Registration is
 // get-or-create: asking twice for the same (name, kind, shape) returns the
@@ -9,20 +10,19 @@
 // metric is a bug worth dying for; pinned by a death test).
 //
 // Thread-safety: registration takes the registry mutex; the hot update
-// paths (Counter::add, Histogram::observe, Span timing) are lock-free
-// atomics, so the grid's worker pool can hammer shared instruments without
-// serializing. Counters and histogram tallies *saturate* at UINT64_MAX
-// instead of wrapping — a pegged counter is obviously wrong, a wrapped one
-// silently lies.
+// paths (Counter::add, Histogram::observe) are lock-free atomics, so the
+// grid's worker pool can hammer shared instruments without serializing.
+// Counters and histogram tallies *saturate* at UINT64_MAX instead of
+// wrapping — a pegged counter is obviously wrong, a wrapped one silently
+// lies.
 //
 // to_json() renders instruments sorted by name with fixed member order, so
 // two registries that observed the same deterministic quantities dump
-// byte-identical JSON (wall-clock spans are inherently nondeterministic in
-// value, deterministic in shape).
+// byte-identical JSON (wall-clock histograms are nondeterministic in value,
+// deterministic in shape).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -72,43 +72,6 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-// Wall-clock span accumulator. Scope measures one interval RAII-style and
-// folds it in (nanoseconds) on destruction.
-class Span {
- public:
-  class Scope {
-   public:
-    explicit Scope(Span* span)
-        : span_(span), start_(std::chrono::steady_clock::now()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-      span_->record_ns(ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
-    }
-
-   private:
-    Span* span_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
-  Scope scope() { return Scope(this); }
-  void record_ns(std::uint64_t ns) {
-    saturating_add(count_, 1);
-    saturating_add(total_ns_, ns);
-  }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t total_ns() const {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -121,7 +84,6 @@ class MetricsRegistry {
   Counter* counter(std::string_view name);
   Histogram* histogram(std::string_view name,
                        std::vector<std::uint64_t> bounds);
-  Span* span(std::string_view name);
 
   std::size_t size() const;
 
@@ -129,14 +91,12 @@ class MetricsRegistry {
   //   counter:   {"type":"counter","value":N}
   //   histogram: {"type":"histogram","bounds":[...],"buckets":[...],
   //               "count":N,"sum":N}
-  //   span:      {"type":"span","count":N,"total_ns":N}
   Json to_json() const;
 
  private:
   struct Instrument {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<Span> span;
   };
 
   mutable std::mutex mu_;

@@ -130,7 +130,7 @@ std::string render_prometheus(const MetricsRegistry& registry,
       out += ' ';
       out += value_text(inst.at("value"));
       out += '\n';
-    } else if (type == "histogram") {
+    } else {
       append_type_line(out, &last_family, s.family, "histogram");
       const Json& bounds = inst.at("bounds");
       const Json& buckets = inst.at("buckets");
@@ -158,21 +158,6 @@ std::string render_prometheus(const MetricsRegistry& registry,
       out += s.labels;
       out += ' ';
       out += value_text(inst.at("sum"));
-      out += '\n';
-      out += s.family;
-      out += "_count";
-      out += s.labels;
-      out += ' ';
-      out += value_text(inst.at("count"));
-      out += '\n';
-    } else {  // span -> summary (count + sum in seconds, no quantiles)
-      append_type_line(out, &last_family, s.family, "summary");
-      out += s.family;
-      out += "_sum";
-      out += s.labels;
-      out += ' ';
-      out += double_text(static_cast<double>(u64_of(inst.at("total_ns"))) /
-                         1e9);
       out += '\n';
       out += s.family;
       out += "_count";

@@ -10,8 +10,9 @@
 //                  registry stores per-bucket tallies; exposition
 //                  accumulates them), a closing `le="+Inf"` bucket equal to
 //                  `<name>_count`, plus `<name>_sum`
-//  * spans      -> `<name>_count` / `<name>_sum` (seconds) under
-//                  `# TYPE ... summary`
+//
+// Those are the registry's two instrument kinds; the only other `# TYPE`
+// the document carries is `gauge`, for the caller's point-in-time readings.
 //
 // Label convention: a registry instrument named
 //   `family|key=value|key2=value2`

@@ -40,30 +40,6 @@ void TraceEventLog::instant(std::string name, std::uint64_t ts, int pid,
   add(std::move(ev));
 }
 
-void TraceEventLog::flow_begin(std::string name, std::uint64_t id,
-                               std::uint64_t ts, int pid, int tid) {
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.ph = 's';
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.id = id;
-  add(std::move(ev));
-}
-
-void TraceEventLog::flow_end(std::string name, std::uint64_t id,
-                             std::uint64_t ts, int pid, int tid) {
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.ph = 'f';
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.id = id;
-  add(std::move(ev));
-}
-
 void TraceEventLog::name_process(int pid, std::string name) {
   TraceEvent ev;
   ev.name = "process_name";
@@ -102,12 +78,6 @@ Json TraceEventLog::to_json() const {
     j["pid"] = Json(ev.pid);
     j["tid"] = Json(ev.tid);
     if (ev.ph == 'i') j["s"] = Json("g");  // global-scope instant
-    if (ev.ph == 's' || ev.ph == 'f') {
-      j["id"] = Json(to_hex(ev.id));
-      // Bind the finish to the enclosing slice so the arrow lands on the
-      // consuming span rather than on whatever slice starts next.
-      if (ev.ph == 'f') j["bp"] = Json("e");
-    }
     if (!ev.args.is_null()) j["args"] = ev.args;
     return j;
   };

@@ -23,11 +23,10 @@ namespace t1000::obs {
 
 struct TraceEvent {
   std::string name;
-  char ph = 'i';          // 'B','E','i','M','s','f' (Chrome format spec)
+  char ph = 'i';          // 'B','E','i','M' (Chrome format spec)
   std::uint64_t ts = 0;   // simulated cycle
   int pid = 0;            // track group (process)
   int tid = 0;            // track (thread)
-  std::uint64_t id = 0;   // flow id for 's'/'f' events (0 = not a flow)
   Json args;              // null = omitted
 };
 
@@ -38,14 +37,6 @@ class TraceEventLog {
   void end(std::uint64_t ts, int pid, int tid);
   void instant(std::string name, std::uint64_t ts, int pid, int tid,
                Json args = Json());
-  // Flow events: a named arrow from the enclosing slice at the 's' point
-  // to the enclosing slice at the 'f' point, correlated by `id` (the
-  // serve layer uses the request's trace id, so one request's hops across
-  // queue/runner/worker tracks render as one connected flow in Perfetto).
-  void flow_begin(std::string name, std::uint64_t id, std::uint64_t ts,
-                  int pid, int tid);
-  void flow_end(std::string name, std::uint64_t id, std::uint64_t ts,
-                int pid, int tid);
   // Metadata: names the track/track-group in the viewer.
   void name_process(int pid, std::string name);
   void name_thread(int pid, int tid, std::string name);

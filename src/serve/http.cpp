@@ -6,6 +6,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <condition_variable>
@@ -214,7 +215,9 @@ struct HttpServer::Impl {
   Options options;
   HttpHandler handler;
 
-  int listen_fd = -1;
+  // Atomic: the accept thread reads it on every loop while stop() closes
+  // and clears it from another thread.
+  std::atomic<int> listen_fd{-1};
   std::thread accept_thread;
   std::vector<std::thread> handlers;
 

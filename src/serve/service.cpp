@@ -1,6 +1,8 @@
 #include "serve/service.hpp"
 
+#include <chrono>
 #include <cstdlib>
+#include <set>
 #include <utility>
 
 #include "harness/serialize.hpp"
@@ -37,6 +39,36 @@ bool parse_job_id(std::string_view segment, std::uint64_t* out) {
   return true;
 }
 
+// One Chrome trace event of the /v1/trace document, on the serve process
+// (pid 1) and the job's own track (tid = job id). `ts` is microseconds.
+Json trace_event(std::string_view name, char ph, double ts_ms,
+                 std::uint64_t job, std::uint64_t flow = 0) {
+  Json ev = Json::object();
+  ev["name"] = Json(name);
+  ev["ph"] = Json(std::string(1, ph));
+  ev["ts"] = Json(static_cast<std::uint64_t>(ts_ms * 1000.0));
+  ev["pid"] = Json(1);
+  ev["tid"] = Json(job);
+  if (flow != 0) {
+    ev["id"] = Json(to_hex(flow));
+    // Bind the finish to the enclosing slice so the arrow lands on the
+    // job's "run" slice rather than on whatever slice starts next.
+    if (ph == 'f') ev["bp"] = Json("e");
+  }
+  return ev;
+}
+
+// Metadata naming the serve process ("process_name") or a job's track
+// ("thread_name").
+Json track_name_event(std::string_view kind, std::uint64_t job,
+                      std::string name) {
+  Json ev = trace_event(kind, 'M', 0.0, job);
+  Json args = Json::object();
+  args["name"] = Json(std::move(name));
+  ev["args"] = std::move(args);
+  return ev;
+}
+
 }  // namespace
 
 std::string_view job_state_name(JobState state) {
@@ -54,12 +86,7 @@ SimService::SimService(ServiceOptions options)
       cache_(options_.cache_dir, options_.cache_budget_bytes),
       journal_(obs::Journal::Options{options_.journal_path,
                                      options_.journal_max_bytes,
-                                     /*ring_capacity=*/8192}),
-      start_time_(std::chrono::steady_clock::now()) {
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    trace_.name_process(1, "t1000-serve");
-  }
+                                     /*ring_capacity=*/8192}) {
   runner_ = std::thread([this] { runner_main(); });
 }
 
@@ -70,11 +97,6 @@ SimService::~SimService() {
   }
   cv_.notify_all();
   if (runner_.joinable()) runner_.join();
-}
-
-double SimService::now_ms() const {
-  const auto elapsed = std::chrono::steady_clock::now() - start_time_;
-  return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
 bool SimService::shutdown_requested() const {
@@ -190,29 +212,21 @@ void SimService::runner_main() {
       jobs_[id].state = JobState::kRunning;
       trace_id = jobs_[id].trace_id;
     }
-    {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      const auto ts = static_cast<std::uint64_t>(now_ms());
-      trace_.end(ts, 1, static_cast<int>(id));  // "queued"
-      trace_.begin("run", ts, 1, static_cast<int>(id));
-      // Closes the flow the submission opened: in Perfetto, the arrow
-      // lands on this job's "run" slice on the runner's track.
-      trace_.flow_end("job", trace_id, ts, 1, static_cast<int>(id));
-    }
-    if (test_run_hook) test_run_hook();
 
     Job finished;
     finished.state = JobState::kFailed;
-    const ResultCache::Counters cache_before = cache_.counters();
     {
+      // The job's one record of when it started and ended: /v1/trace and
+      // the event stream both read this span.
       Json attrs = Json::object();
       attrs["job"] = Json(id);
       attrs["runs"] = Json(parsed.specs.size());
       obs::Journal::SpanScope job_span(&journal_,
                                        obs::TraceContext{trace_id, 0}, "job",
                                        std::move(attrs));
+      if (test_run_hook) test_run_hook();
+      const ResultCache::Counters cache_before = cache_.counters();
       try {
-        const obs::Span::Scope timer(metrics_.span("serve.job_wall"));
         const GridResult result = execute(parsed, job_span.context());
         finished.state = JobState::kDone;
         finished.wall_ms = result.engine().wall_ms;
@@ -223,16 +237,10 @@ void SimService::runner_main() {
       } catch (...) {
         finished.error = "non-standard exception";
       }
+      finished.cache_delta = cache_.counters().since(cache_before);
       Json end_attrs = Json::object();
       end_attrs["state"] = Json(job_state_name(finished.state));
       job_span.set_end_attrs(std::move(end_attrs));
-    }
-    finished.cache_delta = cache_.counters().since(cache_before);
-
-    {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      trace_.end(static_cast<std::uint64_t>(now_ms()), 1,
-                 static_cast<int>(id));  // "run"
     }
     metrics_
         .counter(finished.state == JobState::kDone ? "serve.jobs_completed"
@@ -276,12 +284,13 @@ HttpResponse SimService::handle_submit(const HttpRequest& request) {
     return error_json(400, e.what());
   }
 
-  std::uint64_t id = 0;
   const std::uint64_t trace_id = journal_.new_id();
-  const std::size_t runs = parsed.specs.size();
   // The ack snapshot is taken inside the same critical section that
   // enqueues the job: once mu_ is released the runner may pick the job up
-  // at any moment, and the 202 body must still say "queued".
+  // at any moment, and the 202 body must still say "queued". For the same
+  // reason job.submitted is journaled before the job is queued, so it
+  // always precedes the runner's "job" span. (Lock order is mu_ then the
+  // journal's mutex; nothing takes them the other way round.)
   Json ack;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -293,7 +302,12 @@ HttpResponse SimService::handle_submit(const HttpRequest& request) {
       reject["queue_limit"] = Json(options_.queue_limit);
       return json_response(429, reject);
     }
-    id = next_job_id_++;
+    const std::uint64_t id = next_job_id_++;
+    Json attrs = Json::object();
+    attrs["job"] = Json(id);
+    attrs["runs"] = Json(parsed.specs.size());
+    journal_.instant(obs::TraceContext{trace_id, 0}, "job.submitted",
+                     std::move(attrs));
     Job& job = jobs_[id];
     job.id = id;
     job.runs = parsed.specs.size();
@@ -301,23 +315,6 @@ HttpResponse SimService::handle_submit(const HttpRequest& request) {
     parsed_[id] = std::move(parsed);
     queue_.push_back(id);
     ack = job_status_json(job);
-  }
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    const auto ts = static_cast<std::uint64_t>(now_ms());
-    trace_.name_thread(1, static_cast<int>(id),
-                       "job " + std::to_string(id));
-    trace_.begin("queued", ts, 1, static_cast<int>(id));
-    // Opens the request's flow: the runner closes it when the job starts,
-    // correlating the submission with its execution in Perfetto.
-    trace_.flow_begin("job", trace_id, ts, 1, static_cast<int>(id));
-  }
-  {
-    Json attrs = Json::object();
-    attrs["job"] = Json(id);
-    attrs["runs"] = Json(runs);
-    journal_.instant(obs::TraceContext{trace_id, 0}, "job.submitted",
-                     std::move(attrs));
   }
   metrics_.counter("serve.jobs_submitted")->add();
   cv_.notify_one();
@@ -512,9 +509,51 @@ HttpResponse SimService::handle_metrics(const HttpRequest& request) const {
   return json_response(200, body);
 }
 
-HttpResponse SimService::handle_trace() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return json_response(200, trace_.to_json());
+HttpResponse SimService::handle_trace() {
+  // The journal ring is the only source, so the document covers recent
+  // jobs only. A job whose early events have left the ring loses the
+  // slices they began: nothing renders an end without its begin.
+  std::set<std::uint64_t> queued;                  // traces
+  std::map<std::uint64_t, std::uint64_t> running;  // trace -> job
+  Json events = Json::array();
+  events.push_back(track_name_event("process_name", 0, "t1000-serve"));
+  Json timeline = Json::array();
+  for (const obs::JournalEvent& ev :
+       journal_.poll(0, 0, std::chrono::milliseconds(0))) {
+    if (ev.name == "job.submitted") {
+      const std::uint64_t job = ev.attrs.at("job").as_uint();
+      events.push_back(track_name_event("thread_name", job,
+                                        "job " + std::to_string(job)));
+      timeline.push_back(trace_event("queued", 'B', ev.ts_ms, job));
+      // Opens the request's flow; the job span's begin closes it.
+      timeline.push_back(trace_event("job", 's', ev.ts_ms, job, ev.trace_id));
+      queued.insert(ev.trace_id);
+    } else if (ev.name == "job" && ev.kind == 'B') {
+      const std::uint64_t job = ev.attrs.at("job").as_uint();
+      const bool was_queued = queued.erase(ev.trace_id) > 0;
+      if (was_queued) {
+        timeline.push_back(trace_event("", 'E', ev.ts_ms, job));
+      } else {
+        events.push_back(track_name_event("thread_name", job,
+                                          "job " + std::to_string(job)));
+      }
+      timeline.push_back(trace_event("run", 'B', ev.ts_ms, job));
+      if (was_queued) {
+        timeline.push_back(
+            trace_event("job", 'f', ev.ts_ms, job, ev.trace_id));
+      }
+      running[ev.trace_id] = job;
+    } else if (ev.name == "job" && ev.kind == 'E') {
+      const auto it = running.find(ev.trace_id);
+      if (it == running.end()) continue;
+      timeline.push_back(trace_event("", 'E', ev.ts_ms, it->second));
+      running.erase(it);
+    }
+  }
+  for (const Json& ev : timeline.items()) events.push_back(ev);
+  Json doc = Json::object();
+  doc["traceEvents"] = std::move(events);
+  return json_response(200, doc);
 }
 
 HttpResponse SimService::handle_janitor() {

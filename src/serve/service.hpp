@@ -10,9 +10,10 @@
 //    concurrent CLI tools, see harness/cache.hpp),
 //  * one MetricsRegistry observing both the serve layer ("serve.*") and
 //    every grid it runs ("grid.*"), exported verbatim at GET /metrics, and
-//  * one TraceEventLog recording each job's queued/run lifecycle as
-//    Perfetto slices (ts = milliseconds since service start), exported at
-//    GET /v1/trace.
+//  * one obs::Journal, the only record of when a job was submitted,
+//    started and ended (plus every span its grid emits): the NDJSON event
+//    stream and the Perfetto timeline at GET /v1/trace are both views of
+//    its in-memory ring (8192 events), so they cover recent jobs only.
 //
 // Jobs run on a single runner thread, strictly in submission order — the
 // grid inside a job already parallelizes across `jobs` workers, and serial
@@ -42,9 +43,12 @@
 //                                 renders Prometheus text exposition
 //                                 (version 0.0.4), default stays the JSON
 //                                 document, byte-identical to before
-//   GET  /v1/trace                Perfetto traceEvents for the job timeline
-//                                 (queued/run slices + per-job flow events
-//                                 correlated by trace id)
+//   GET  /v1/trace                Perfetto traceEvents for the recent job
+//                                 timeline, drawn from the journal ring:
+//                                 per job, a "queued" slice (job.submitted
+//                                 to the job span's begin), a "run" slice
+//                                 over the job span, and one s/f flow pair
+//                                 whose id is the trace; ts in µs
 //   POST /v1/janitor              sweep cache debris now -> report
 //   POST /v1/shutdown             request daemon exit (polled by the tool)
 //
@@ -64,7 +68,6 @@
 // maximum so one client cannot opt out of the operator's limits.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -81,7 +84,6 @@
 #include "harness/json.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
 #include "serve/http.hpp"
 
 namespace t1000::serve {
@@ -136,9 +138,9 @@ class SimService {
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::Journal& journal() { return journal_; }
 
-  // Test-only: runs on the runner thread after a job is dequeued and
-  // marked running, before its grid executes. Lets the admission tests
-  // hold the runner mid-job deterministically.
+  // Test-only: runs on the runner thread after a job is dequeued, marked
+  // running and its "job" span begun, before its grid executes. Lets the
+  // admission tests hold the runner mid-job deterministically.
   std::function<void()> test_run_hook;
 
  private:
@@ -181,12 +183,11 @@ class SimService {
   HttpResponse handle_job_events(std::uint64_t id);
   HttpResponse handle_summary() const;
   HttpResponse handle_metrics(const HttpRequest& request) const;
-  HttpResponse handle_trace() const;
+  HttpResponse handle_trace();
   HttpResponse handle_janitor();
   HttpResponse handle_shutdown();
 
   Json job_status_json(const Job& job) const;
-  double now_ms() const;  // milliseconds since service start
 
   void runner_main();
 
@@ -205,10 +206,6 @@ class SimService {
   std::uint64_t next_job_id_ = 1;
   bool stopping_ = false;
   bool shutdown_requested_ = false;
-
-  mutable std::mutex trace_mu_;
-  obs::TraceEventLog trace_;
-  std::chrono::steady_clock::time_point start_time_;
 
   std::thread runner_;
 };

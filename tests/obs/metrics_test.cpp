@@ -63,17 +63,6 @@ TEST(Metrics, HistogramSumSaturates) {
   EXPECT_EQ(h.count(), 2u);
 }
 
-TEST(Metrics, SpanAccumulatesScopes) {
-  Span s;
-  s.record_ns(100);
-  s.record_ns(250);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_EQ(s.total_ns(), 350u);
-  { const Span::Scope scope = s.scope(); }
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_GE(s.total_ns(), 350u);
-}
-
 TEST(Metrics, RegistrationIsGetOrCreate) {
   MetricsRegistry reg;
   Counter* a = reg.counter("grid.runs");
@@ -82,10 +71,7 @@ TEST(Metrics, RegistrationIsGetOrCreate) {
   Histogram* h1 = reg.histogram("grid.wall_ms", {1, 10, 100});
   Histogram* h2 = reg.histogram("grid.wall_ms", {1, 10, 100});
   EXPECT_EQ(h1, h2);
-  Span* s1 = reg.span("grid.wall");
-  Span* s2 = reg.span("grid.wall");
-  EXPECT_EQ(s1, s2);
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
   // Shared instrument: updates through either handle land in one place.
   a->add(2);
   b->add(3);
@@ -101,7 +87,7 @@ TEST(MetricsDeathTest, ReRegisteringNameAsDifferentKindAborts) {
       {
         MetricsRegistry reg;
         reg.counter("grid.runs");
-        reg.span("grid.runs");
+        reg.histogram("grid.runs", {1});
       },
       "conflicting registration of metric 'grid.runs'");
   EXPECT_DEATH(
@@ -137,7 +123,7 @@ TEST(Metrics, ToJsonIsDeterministicAndSorted) {
     reg.counter("b.counter")->add(7);
     reg.histogram("a.hist", {5, 50})->observe(3);
     reg.histogram("a.hist", {5, 50})->observe(60);
-    reg.span("c.span")->record_ns(123);
+    reg.counter("c.counter")->add(123);
   };
   MetricsRegistry one;
   MetricsRegistry two;
@@ -147,7 +133,7 @@ TEST(Metrics, ToJsonIsDeterministicAndSorted) {
   EXPECT_EQ(one.to_json().dump(2), two.to_json().dump(2));
   const std::string text = one.to_json().dump();
   EXPECT_LT(text.find("a.hist"), text.find("b.counter"));
-  EXPECT_LT(text.find("b.counter"), text.find("c.span"));
+  EXPECT_LT(text.find("b.counter"), text.find("c.counter"));
   const Json j = one.to_json();
   EXPECT_EQ(j.at("b.counter").at("type").as_string(), "counter");
   EXPECT_EQ(j.at("b.counter").at("value").as_uint(), 7u);
@@ -155,7 +141,7 @@ TEST(Metrics, ToJsonIsDeterministicAndSorted) {
   EXPECT_EQ(j.at("a.hist").at("sum").as_uint(), 63u);
   EXPECT_EQ(j.at("a.hist").at("buckets").at(0).as_uint(), 1u);
   EXPECT_EQ(j.at("a.hist").at("buckets").at(2).as_uint(), 1u);
-  EXPECT_EQ(j.at("c.span").at("count").as_uint(), 1u);
+  EXPECT_EQ(j.at("c.counter").at("value").as_uint(), 123u);
 }
 
 TEST(Metrics, SaturatedValuesRenderAsDecimalStrings) {
@@ -180,11 +166,9 @@ TEST(Metrics, ConcurrentUpdatesAreExact) {
     threads.emplace_back([&reg] {
       Counter* c = reg.counter("hammer.counter");
       Histogram* h = reg.histogram("hammer.hist", {8, 64, 512});
-      Span* s = reg.span("hammer.span");
       for (int i = 0; i < kIters; ++i) {
         c->add(1);
         h->observe(static_cast<std::uint64_t>(i % 1000));
-        s->record_ns(1);
       }
     });
   }
@@ -199,8 +183,6 @@ TEST(Metrics, ConcurrentUpdatesAreExact) {
     buckets += h->bucket_count(i);
   }
   EXPECT_EQ(buckets, kTotal);
-  EXPECT_EQ(reg.span("hammer.span")->count(), kTotal);
-  EXPECT_EQ(reg.span("hammer.span")->total_ns(), kTotal);
 }
 
 }  // namespace

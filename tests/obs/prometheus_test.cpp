@@ -1,10 +1,10 @@
 // Prometheus text-exposition tests: name sanitization and label escaping,
 // the `family|key=value` split, cumulative-bucket monotonicity against the
 // registry's per-bucket tallies, digit-for-digit value parity with the
-// JSON dump above INT64_MAX, span-summary seconds, appended gauges, a
-// structural lint over a whole document, and a concurrent hammer on the
-// per-route histograms while the renderer runs (the TSan job executes
-// this binary).
+// JSON dump above INT64_MAX, appended gauges, a structural lint over a
+// whole document (counter/histogram/gauge are its only TYPE kinds), and a
+// concurrent hammer on the per-route histograms while the renderer runs
+// (the TSan job executes this binary).
 #include "obs/prometheus.hpp"
 
 #include <gtest/gtest.h>
@@ -146,17 +146,6 @@ TEST(Prometheus, HugeHistogramTalliesSaturateCumulatively) {
   EXPECT_NE(text.find("big_bucket{le=\"+Inf\"} 6\n"), std::string::npos);
 }
 
-TEST(Prometheus, SpanRendersAsSummaryInSeconds) {
-  MetricsRegistry registry;
-  Span* span = registry.span("grid.wall");
-  span->record_ns(1500000000);  // 1.5 s
-  span->record_ns(500000000);   // 0.5 s
-  const std::string text = render_prometheus(registry);
-  EXPECT_NE(text.find("# TYPE grid_wall summary\n"), std::string::npos);
-  EXPECT_NE(text.find("grid_wall_sum 2\n"), std::string::npos);
-  EXPECT_NE(text.find("grid_wall_count 2\n"), std::string::npos);
-}
-
 TEST(Prometheus, GaugesAppendAfterRegistryInstruments) {
   MetricsRegistry registry;
   registry.counter("a")->add(1);
@@ -181,7 +170,6 @@ TEST(Prometheus, DocumentIsStructurallyValid) {
   registry.counter("grid.runs")->add(7);
   registry.histogram("exp.phase_ms|phase=decode", {1, 10})->observe(3);
   registry.histogram("exp.phase_ms|phase=replay", {1, 10})->observe(12);
-  registry.span("grid.wall")->record_ns(1000);
   const std::string text =
       render_prometheus(registry, {{"serve.journal_events", 5.0}});
   ASSERT_FALSE(text.empty());
@@ -196,7 +184,7 @@ TEST(Prometheus, DocumentIsStructurallyValid) {
       typed.push_back(rest.substr(0, space));
       const std::string type = rest.substr(space + 1);
       EXPECT_TRUE(type == "counter" || type == "histogram" ||
-                  type == "summary" || type == "gauge")
+                  type == "gauge")
           << line;
       continue;
     }

@@ -6,8 +6,10 @@
 // yields results byte-identical to the same grid run through the
 // in-process engine; admission is a bounded queue that rejects with 429
 // rather than buffering without bound; per-request budgets ride the grid's
-// timeout taxonomy and are clamped by the operator's cap; and the HTTP
-// layer speaks enough HTTP/1.1 for curl and the CI smoke job.
+// timeout taxonomy and are clamped by the operator's cap; /v1/trace is
+// drawn from the journal ring alone, where a job's submission always
+// precedes its span; and the HTTP layer speaks enough HTTP/1.1 for curl
+// and the CI smoke job.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -17,12 +19,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "harness/grid.hpp"
 #include "harness/serialize.hpp"
@@ -471,6 +476,161 @@ TEST(Service, TraceCarriesPerJobFlowEvents) {
   }
   EXPECT_EQ(flow_starts, 1);
   EXPECT_EQ(flow_finishes, 1);
+}
+
+// One-run request: the first job simulates it, later ones hit the cache.
+std::string one_run_request() {
+  Json runs = Json::array();
+  runs.push_back(to_json(baseline_spec("gsm_dec")));
+  Json request = Json::object();
+  request["runs"] = std::move(runs);
+  return request.dump();
+}
+
+// The /v1/trace document per job track, in order, as "<ph> <name>"
+// strings ("B queued", "s job", "E ", ...); metadata is skipped. Also
+// checks what every document must hold whatever the ring dropped: on each
+// track ts never regresses and no E comes without an open B, and no flow
+// finishes without its start.
+std::map<std::uint64_t, std::vector<std::string>> trace_tracks(
+    SimService& service) {
+  const Json trace = Json::parse(service.handle_http(get("/v1/trace")).body);
+  std::map<std::uint64_t, std::vector<std::string>> tracks;
+  std::map<std::uint64_t, int> depth;
+  std::map<std::uint64_t, std::uint64_t> last_ts;
+  std::vector<std::string> flows;
+  for (const Json& ev : trace.at("traceEvents").items()) {
+    const std::string& ph = ev.at("ph").as_string();
+    if (ph == "M") continue;
+    const std::uint64_t job = ev.at("tid").as_uint();
+    const std::uint64_t ts = ev.at("ts").as_uint();
+    EXPECT_GE(ts, last_ts[job]) << "ts regressed on job " << job;
+    last_ts[job] = ts;
+    if (ph == "B") ++depth[job];
+    if (ph == "E") {
+      --depth[job];
+      EXPECT_GE(depth[job], 0) << "E without B on job " << job;
+    }
+    if (ph == "s") flows.push_back(ev.at("id").as_string());
+    if (ph == "f") {
+      EXPECT_NE(std::find(flows.begin(), flows.end(), ev.at("id").as_string()),
+                flows.end())
+          << "f without s on job " << job;
+    }
+    tracks[job].push_back(ph + " " + ev.at("name").as_string());
+  }
+  return tracks;
+}
+
+TEST(Service, JobSubmittedPrecedesTheJobSpanUnderConcurrentSubmits) {
+  ServiceOptions options;
+  options.queue_limit = 64;
+  SimService service(options);
+  // Warm the cache so every burst job is one memory hit: the runner then
+  // finishes each job fast enough to race the next submission.
+  const std::string body = one_run_request();
+  ASSERT_EQ(service.handle_http(post("/v1/jobs", body)).status, 202);
+  ASSERT_EQ(wait_for_job(service, 1).at("state").as_string(), "done");
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 6;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&service, &body] {
+      for (int i = 0; i < kPerThread; ++i) {
+        EXPECT_EQ(service.handle_http(post("/v1/jobs", body)).status, 202);
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  constexpr std::uint64_t kJobs = 1 + kThreads * kPerThread;
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    ASSERT_EQ(wait_for_job(service, id).at("state").as_string(), "done");
+  }
+
+  // The journal stamps seq (and ts_ms) in append order under its mutex.
+  std::map<std::uint64_t, std::uint64_t> submitted_seq;
+  std::map<std::uint64_t, std::uint64_t> begin_seq;
+  for (const obs::JournalEvent& ev :
+       service.journal().poll(0, 0, std::chrono::milliseconds(0))) {
+    if (ev.name == "job.submitted") {
+      submitted_seq[ev.attrs.at("job").as_uint()] = ev.seq;
+    } else if (ev.name == "job" && ev.kind == 'B') {
+      begin_seq[ev.attrs.at("job").as_uint()] = ev.seq;
+    }
+  }
+  ASSERT_EQ(submitted_seq.size(), kJobs);
+  ASSERT_EQ(begin_seq.size(), kJobs);
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    EXPECT_LT(submitted_seq[id], begin_seq[id]) << "job " << id;
+  }
+
+  // So every job renders whole, its queued slice closing where its run
+  // slice opens — never before the queued slice began.
+  const auto tracks = trace_tracks(service);
+  const std::vector<std::string> whole = {"B queued", "s job", "E ",
+                                          "B run",    "f job", "E "};
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    ASSERT_EQ(tracks.count(id), 1u) << "job " << id;
+    EXPECT_EQ(tracks.at(id), whole) << "job " << id;
+  }
+}
+
+TEST(Service, TraceIsDrawnFromTheJournalRingOnly) {
+  // A gate the runner waits at inside each job's span: job N passes once
+  // `passes` reaches N.
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  int passes = 0;
+  const auto wait_entered = [&](int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered >= n; });
+  };
+  const auto release = [&](int n) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      passes = n;
+    }
+    cv.notify_all();
+  };
+  SimService service(ServiceOptions{});
+  service.test_run_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    const int job = ++entered;
+    cv.notify_all();
+    cv.wait(lock, [&] { return passes >= job; });
+  };
+
+  const std::string body = one_run_request();
+  ASSERT_EQ(service.handle_http(post("/v1/jobs", body)).status, 202);
+  wait_entered(1);  // job 1 is running, held inside its span
+  ASSERT_EQ(service.handle_http(post("/v1/jobs", body)).status, 202);
+  // Push everything journaled so far out of the service's 8192-event ring,
+  // as a big grid pushes out its own begin events: job 1's submission and
+  // span begin, job 2's submission.
+  const obs::TraceContext filler{service.journal().new_id(), 0};
+  for (int i = 0; i < 8192; ++i) service.journal().instant(filler, "filler");
+  EXPECT_GE(service.journal().ring_dropped(), 3u);
+  release(1);
+  wait_entered(2);  // job 1 ended; job 2 is running, held in its span
+  ASSERT_EQ(service.handle_http(post("/v1/jobs", body)).status, 202);
+
+  // Job 1 kept only its span's end, so it renders nothing. Job 2 kept its
+  // run but not its submission: a run slice, still open, and no queued
+  // slice or flow. Job 3 is queued: an open queued slice and flow start.
+  auto tracks = trace_tracks(service);
+  EXPECT_EQ(tracks.count(1), 0u);
+  EXPECT_EQ(tracks[2], (std::vector<std::string>{"B run"}));
+  EXPECT_EQ(tracks[3], (std::vector<std::string>{"B queued", "s job"}));
+
+  release(3);
+  ASSERT_EQ(wait_for_job(service, 3).at("state").as_string(), "done");
+  tracks = trace_tracks(service);
+  EXPECT_EQ(tracks.count(1), 0u);
+  EXPECT_EQ(tracks[2], (std::vector<std::string>{"B run", "E "}));
+  EXPECT_EQ(tracks[3], (std::vector<std::string>{"B queued", "s job", "E ",
+                                                  "B run", "f job", "E "}));
 }
 
 // ---------------------------------------------------------------------------
