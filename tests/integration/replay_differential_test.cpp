@@ -10,15 +10,31 @@
 // suite), all three selectors, and a deliberately hostile set of machine
 // configurations: PFU counts from 2 to unlimited, reconfiguration
 // latencies from free to punitive, shrunken cache/TLB geometries, a real
-// (mispredicting) branch predictor, multi-cycle extended instructions, and
-// a narrow machine with tight RUU/MSHR limits.
+// (mispredicting) branch predictor, multi-cycle extended instructions, a
+// narrow machine with tight RUU/MSHR limits, and a wide one whose
+// 100-entry window does not fill a power-of-two ring.
+//
+// Direct and replayed runs share one pipeline, so a scheduler bug would
+// move both sides alike. The oracle fixture under golden/ pins every
+// case's observed replay absolutely; regenerate it only for a deliberate
+// timing-model change, by running this binary directly (its instances
+// rewrite the one file in turn, so not under a parallel ctest):
+//
+//   T1000_REGEN_GOLDEN=1 ./replay_differential_test
+//       --gtest_filter='*ObservedReplayMatchesOracleFixture*'
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/json.hpp"
 #include "harness/serialize.hpp"
 #include "uarch/timing.hpp"
 
@@ -40,6 +56,7 @@ const std::vector<NamedMachine>& machines() {
     out.push_back({"unlimited_lat0", pfu_machine(PfuConfig::kUnlimited, 0)});
     out.push_back({"2pfu_lat0", pfu_machine(2, 0)});
     out.push_back({"2pfu_lat100", pfu_machine(2, 100)});
+    out.push_back({"2pfu_lat500", pfu_machine(2, 500)});
 
     MachineConfig small = pfu_machine(2, 10);
     small.il1 = {.size_bytes = 4 * 1024, .line_bytes = 16, .assoc = 1,
@@ -73,6 +90,18 @@ const std::vector<NamedMachine>& machines() {
     narrow.mem_ports = 1;
     narrow.max_outstanding_misses = 2;
     out.push_back({"narrow_ruu16_mshr2", narrow});
+
+    MachineConfig wide = pfu_machine(2, 10);
+    wide.fetch_width = 8;
+    wide.decode_width = 8;
+    wide.issue_width = 8;
+    wide.commit_width = 8;
+    wide.ruu_size = 100;
+    wide.fetch_queue_size = 32;
+    wide.int_alus = 6;
+    wide.mem_ports = 3;
+    wide.max_outstanding_misses = 4;
+    out.push_back({"wide_ruu100", wide});
     return out;
   }();
   return configs;
@@ -103,6 +132,48 @@ RunSpec spec_for(const Workload& w, Selector selector,
                                : nm.machine.pfu.count;
   }
   return spec;
+}
+
+const Selector kSelectors[] = {Selector::kNone, Selector::kGreedy,
+                               Selector::kSelective};
+
+// The oracle fixture: one line per (workload, selector, machine) case,
+// "<workload>/<selector>/<machine> <cycles> <digest>", the digest being
+// FNV-1a over the observed replay's SimStats and StallBreakdown JSON.
+std::string oracle_path() {
+  return std::string(T1000_GOLDEN_DIR) + "/replay_oracle.txt";
+}
+
+std::string case_key(const Workload& w, Selector selector,
+                     const NamedMachine& nm) {
+  return w.name + "/" + std::string(selector_name(selector)) + "/" + nm.name;
+}
+
+std::map<std::string, std::string> read_oracle() {
+  std::map<std::string, std::string> oracle;
+  std::ifstream is(oracle_path());
+  std::string line;
+  while (std::getline(is, line)) {
+    const std::size_t space = line.find(' ');
+    if (space != std::string::npos) {
+      oracle[line.substr(0, space)] = line.substr(space + 1);
+    }
+  }
+  return oracle;
+}
+
+// Writes the cases in sweep order, so a regeneration diff is reviewable.
+void write_oracle(const std::map<std::string, std::string>& oracle) {
+  std::ofstream os(oracle_path(), std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(os.is_open()) << "cannot write " << oracle_path();
+  for (const Workload& w : every_workload()) {
+    for (const Selector selector : kSelectors) {
+      for (const NamedMachine& nm : machines()) {
+        const auto it = oracle.find(case_key(w, selector, nm));
+        if (it != oracle.end()) os << it->first << ' ' << it->second << '\n';
+      }
+    }
+  }
 }
 
 class ReplayDifferential : public ::testing::TestWithParam<std::size_t> {
@@ -193,6 +264,81 @@ TEST_P(ReplayDifferential, ObservedReplayMatchesDirectStallBreakdown) {
       EXPECT_EQ(to_json(direct_obs.stalls).dump(),
                 to_json(replay_obs.stalls).dump())
           << w.name << " / " << selector_name(selector) << " / " << nm.name;
+    }
+  }
+}
+
+TEST_P(ReplayDifferential, ObservedReplayMatchesOracleFixture) {
+  // The absolute pin: every case's observed replay, statistics and stall
+  // breakdown, against the checked-in digest.
+  const Workload& w = every_workload()[GetParam()];
+  WorkloadExperiment& exp = experiment(GetParam());
+  const bool regen = std::getenv("T1000_REGEN_GOLDEN") != nullptr;
+  std::map<std::string, std::string> oracle = read_oracle();
+
+  for (const Selector selector : kSelectors) {
+    for (const NamedMachine& nm : machines()) {
+      const RunSpec spec = spec_for(w, selector, nm);
+      const WorkloadExperiment::PreparedView view = exp.prepared(spec);
+      ASSERT_NE(view.trace, nullptr);
+      SimObservation obs;
+      const SimStats stats = simulate(
+          {.program = view.program, .ext_table = view.table,
+           .trace = view.trace, .machine = spec.machine,
+           .max_cycles = spec.max_cycles, .observation = &obs});
+      const std::string digest =
+          std::to_string(stats.cycles) + " " +
+          to_hex(fnv1a64(to_json(stats).dump() + to_json(obs.stalls).dump()));
+      const std::string key = case_key(w, selector, nm);
+      if (regen) {
+        oracle[key] = digest;
+        continue;
+      }
+      const auto it = oracle.find(key);
+      ASSERT_NE(it, oracle.end())
+          << "missing oracle case " << key << " in " << oracle_path()
+          << " — regenerate with T1000_REGEN_GOLDEN=1 (see file comment)";
+      EXPECT_EQ(it->second, digest)
+          << key << ": observed replay drifted from the oracle fixture";
+    }
+  }
+  if (regen) write_oracle(oracle);
+}
+
+TEST(ReplayCycleBound, RunSucceedsExactlyFromOneBelowItsCycleCount) {
+  // gsm_dec under greedy selection on two PFUs at 500 cycles per
+  // reconfiguration spends most of its cycles waiting on reconfigurations,
+  // so most of these bounds fall inside a span in which nothing happens.
+  // A run of C cycles simulates cycles 0 .. C-1 and checks the bound at the
+  // start of each: it succeeds exactly when max_cycles >= C - 1, on both
+  // step sources, observed or not.
+  constexpr std::uint64_t kCycles = 7221409;
+  const Workload& w = *find_workload("gsm_dec");
+  WorkloadExperiment exp(w);
+  const RunSpec spec =
+      spec_for(w, Selector::kGreedy, {"2pfu_lat500", pfu_machine(2, 500)});
+  const WorkloadExperiment::PreparedView view = exp.prepared(spec);
+  ASSERT_NE(view.trace, nullptr);
+
+  for (const bool replay : {false, true}) {
+    for (const bool observed : {false, true}) {
+      for (const std::uint64_t bound :
+           {kCycles - 2, kCycles - 1, kCycles, kCycles / 2,
+            std::uint64_t{501}, std::uint64_t{100}}) {
+        SimObservation obs;
+        const SimRequest request{
+            .program = view.program, .ext_table = view.table,
+            .trace = replay ? view.trace : nullptr, .machine = spec.machine,
+            .max_cycles = bound, .observation = observed ? &obs : nullptr};
+        const std::string tag = std::string(replay ? "replay" : "direct") +
+                                (observed ? " observed" : " plain") +
+                                " bound " + std::to_string(bound);
+        if (bound + 1 >= kCycles) {
+          EXPECT_EQ(simulate(request).cycles, kCycles) << tag;
+        } else {
+          EXPECT_THROW(simulate(request), SimError) << tag;
+        }
+      }
     }
   }
 }
