@@ -18,15 +18,13 @@ std::uint64_t PfuBank::request(ConfId conf, std::uint64_t now) {
   ++stats_.lookups;
   ++tick_;
 
-  const auto it = where_.find(conf);
-  if (it != where_.end()) {
-    Unit& unit = units_[it->second];
+  if (conf >= where_.size()) where_.resize(conf + std::size_t{1}, kNotLoaded);
+  if (const std::int32_t held = where_[conf]; held != kNotLoaded) {
+    Unit& unit = units_[static_cast<std::size_t>(held)];
     unit.last_use = tick_;
     ++stats_.hits;  // tag match; may still wait on an in-flight load
     const std::uint64_t ready = unit.ready_at <= now ? now : unit.ready_at;
-    if (listener_ != nullptr) {
-      listener_->on_pfu_hit(static_cast<int>(it->second), conf, now, ready);
-    }
+    if (listener_ != nullptr) listener_->on_pfu_hit(held, conf, now, ready);
     return ready;
   }
 
@@ -38,7 +36,7 @@ std::uint64_t PfuBank::request(ConfId conf, std::uint64_t now) {
     unit.conf = conf;
     unit.ready_at = now + static_cast<std::uint64_t>(config_.reconfig_latency);
     unit.last_use = tick_;
-    where_.emplace(conf, units_.size());
+    where_[conf] = static_cast<std::int32_t>(units_.size());
     units_.push_back(unit);
     if (listener_ != nullptr) {
       listener_->on_pfu_reconfig(static_cast<int>(units_.size()) - 1, conf,
@@ -60,14 +58,14 @@ std::uint64_t PfuBank::request(ConfId conf, std::uint64_t now) {
   }
   Unit& unit = units_[victim];
   const ConfId evicted = unit.conf;
-  if (unit.conf != kInvalidConf) where_.erase(unit.conf);
+  if (unit.conf != kInvalidConf) where_[unit.conf] = kNotLoaded;
   ++stats_.reconfigurations;
   unit.conf = conf;
   // Back-to-back reconfigurations of the same unit serialize.
   const std::uint64_t start = std::max(now, unit.ready_at);
   unit.ready_at = start + static_cast<std::uint64_t>(config_.reconfig_latency);
   unit.last_use = tick_;
-  where_.emplace(conf, victim);
+  where_[conf] = static_cast<std::int32_t>(victim);
   if (listener_ != nullptr) {
     listener_->on_pfu_reconfig(static_cast<int>(victim), conf, evicted, start,
                                unit.ready_at);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/instruction.hpp"
@@ -64,7 +63,10 @@ class PfuBank {
   PfuConfig config_;
   PfuListener* listener_ = nullptr;
   std::vector<Unit> units_;
-  std::unordered_map<ConfId, std::size_t> where_;  // conf -> unit index
+  // conf -> unit index, kNotLoaded if none holds it. ConfIds are dense
+  // (ExtInstTable::intern hands them out in order), so a vector suffices.
+  static constexpr std::int32_t kNotLoaded = -1;
+  std::vector<std::int32_t> where_;
   std::uint64_t tick_ = 0;
   PfuStats stats_;
 };
