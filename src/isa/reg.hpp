@@ -23,7 +23,8 @@ inline constexpr Reg kRegSp = 29;
 inline constexpr Reg kRegFp = 30;
 inline constexpr Reg kRegRa = 31;
 
-// ABI alias for register `r` (e.g. 4 -> "$a0").
+// ABI alias for register `r` (e.g. 4 -> "$a0"); "$?" when `r` is not a
+// register.
 std::string_view reg_name(Reg r);
 
 // Parses "$t0", "$4", "r4", or "4"; returns -1 when the text does not name a

@@ -17,6 +17,11 @@ TEST(Reg, NamesMatchAbi) {
   EXPECT_EQ(reg_name(31), "$ra");
 }
 
+TEST(Reg, OutOfRangeFieldHasPlaceholderName) {
+  EXPECT_EQ(reg_name(kNumRegs), "$?");
+  EXPECT_EQ(reg_name(255), "$?");
+}
+
 TEST(Reg, ParseAbiNames) {
   for (int i = 0; i < kNumRegs; ++i) {
     EXPECT_EQ(parse_reg(reg_name(static_cast<Reg>(i))), i);
