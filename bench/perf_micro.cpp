@@ -11,6 +11,7 @@
 #include "analysis/verifier.hpp"
 #include "harness/grid.hpp"
 #include "sim/executor.hpp"
+#include "sim/profiler.hpp"
 #include "sim/trace.hpp"
 #include "sim/ucode.hpp"
 
@@ -72,6 +73,22 @@ void BM_ExecuteUops(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
 BENCHMARK(BM_ExecuteUops)->Unit(benchmark::kMillisecond);
+
+// The profiling pass analyze_program runs over its decoded program: the
+// same interpreter folding each committed step into a Profile. Items are
+// committed instructions, so the rate reads as the analysis ns/step.
+void BM_ProfileWorkload(benchmark::State& state) {
+  const Program p = workload_program(bench_workload());
+  const UopProgram ucode = UopProgram::build(p, /*ext_table=*/nullptr);
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const Profile prof = profile_program(ucode, 1u << 24);
+    benchmark::DoNotOptimize(prof.insts.data());
+    steps += prof.total_dynamic;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+BENCHMARK(BM_ProfileWorkload)->Unit(benchmark::kMillisecond);
 
 // Replay-backed timing run over a pre-recorded trace — the per-config
 // marginal cost of a grid sweep. Compare with BM_TimingSim, which pays

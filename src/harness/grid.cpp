@@ -33,7 +33,8 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 // Per-workload lazily built shared state. The program hash is cheap (one
 // assembly pass) and unlocks cache hits without profiling; the full
 // WorkloadExperiment (profile + extraction + baseline run) is only built
-// when some spec actually misses the cache.
+// when some spec actually misses the cache, and lives only until the last
+// group naming the workload finishes.
 struct WorkloadSlot {
   const Workload* workload = nullptr;
   ExperimentObs obs;  // set before the workers start
@@ -68,6 +69,23 @@ struct WorkloadSlot {
     });
     if (experiment_error) std::rethrow_exception(experiment_error);
     return *experiment;
+  }
+
+  // Groups naming this workload that have not finished. The worker that
+  // finishes the last one copies out the counters the engine totals read
+  // and frees the experiment, whose traces would otherwise stay resident
+  // until the whole grid ends. The atomic decrement orders every other
+  // worker's use of the experiment before the free.
+  std::atomic<std::size_t> groups_left{0};
+  WorkloadExperiment::TraceCounters traces;
+  WorkloadExperiment::VerifyCounters verify;
+
+  void finish_group() {
+    if (--groups_left > 0) return;
+    if (!experiment) return;
+    traces = experiment->trace_counters();
+    verify = experiment->verify_counters();
+    experiment.reset();
   }
 };
 
@@ -327,6 +345,9 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     slots[i].workload = &workloads_[i];
     slots[i].obs = ExperimentObs{options.metrics, options.journal};
   }
+  const auto slot_of = [&](const RunSpec& spec) -> WorkloadSlot& {
+    return slots[index_.find(spec.workload)->second];
+  };
 
   // Journal emission helpers: cache operations become timed instants (the
   // "cache" phase), runs and batches become spans the experiment's phase
@@ -389,6 +410,11 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
       if (fresh) groups.emplace_back();
       groups[it->second].push_back(i);
     }
+  }
+
+  for (const std::vector<std::size_t>& group : groups) {
+    // A group never spans workloads: the batch identity includes it.
+    ++slot_of(specs_[group.front()]).groups_left;
   }
 
   std::vector<RunResult> results(specs_.size());
@@ -467,8 +493,7 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     obs::Journal::SpanScope run_span(journal, obs::current_trace_context(),
                                      "run", run_attrs(out.spec));
     const obs::ScopedTraceContext run_scope(run_span.context());
-    WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
-    out.outcome = slot.experiment_for().run(out.spec);
+    out.outcome = slot_of(out.spec).experiment_for().run(out.spec);
     cache_store(cache, key, out.outcome);
   };
 
@@ -506,7 +531,7 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
         const auto run_start = std::chrono::steady_clock::now();
         try {
           if (options.fault_hook) options.fault_hook(out.spec);
-          WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
+          WorkloadSlot& slot = slot_of(out.spec);
           const CacheKey key = make_cache_key(
               out.spec, slot.program_hash_for(), slot.workload->max_steps);
           if (std::any_of(miss_keys.begin(), miss_keys.end(),
@@ -554,9 +579,8 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
                                              obs::current_trace_context(),
                                              "batch", std::move(batch_attrs));
           const obs::ScopedTraceContext batch_scope(batch_span.context());
-          WorkloadSlot& slot =
-              slots[index_.find(lane_specs.front().workload)->second];
-          lanes = slot.experiment_for().run_batch(lane_specs);
+          lanes = slot_of(lane_specs.front()).experiment_for().run_batch(
+              lane_specs);
           batches.fetch_add(1, std::memory_order_relaxed);
           batched_runs.fetch_add(misses.size(), std::memory_order_relaxed);
         } catch (...) {
@@ -600,6 +624,7 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
           fail(out, ms_since(run_start), std::current_exception());
         }
       }
+      slot_of(specs_[group.front()]).finish_group();
     }
   };
 
@@ -633,15 +658,10 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   engine.batches = batches.load(std::memory_order_relaxed);
   engine.batched_runs = batched_runs.load(std::memory_order_relaxed);
   for (const WorkloadSlot& slot : slots) {
-    if (!slot.experiment) continue;
-    const WorkloadExperiment::TraceCounters tc =
-        slot.experiment->trace_counters();
-    engine.traces_recorded += tc.recorded;
-    engine.trace_replays += tc.reused;
-    const WorkloadExperiment::VerifyCounters vc =
-        slot.experiment->verify_counters();
-    engine.verified_preps += vc.reports;
-    engine.verify_ms += vc.wall_ms;
+    engine.traces_recorded += slot.traces.recorded;
+    engine.trace_replays += slot.traces.reused;
+    engine.verified_preps += slot.verify.reports;
+    engine.verify_ms += slot.verify.wall_ms;
   }
   engine.wall_ms = ms_since(grid_start);
   return GridResult(std::move(results), engine);

@@ -1,6 +1,5 @@
 #include "isa/alu.hpp"
 
-#include <bit>
 #include <cassert>
 
 namespace t1000 {
@@ -65,12 +64,6 @@ std::uint32_t extend_imm(Opcode op, std::int32_t imm) {
     return static_cast<std::uint32_t>(imm) & 0xFFFF;
   }
   return static_cast<std::uint32_t>(imm);  // already sign-correct in int32
-}
-
-int signed_width(std::uint32_t v) {
-  const std::uint32_t key =
-      (v & 0x8000'0000u) != 0 ? ~v : v;  // strip redundant sign bits
-  return 33 - std::countl_zero(key);
 }
 
 }  // namespace t1000

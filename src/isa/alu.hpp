@@ -2,6 +2,7 @@
 // micro-program evaluator inside PFU configurations.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "isa/opcode.hpp"
@@ -24,7 +25,12 @@ std::uint32_t extend_imm(Opcode op, std::int32_t imm);
 // Two's-complement significant width of `v` in bits (1..32): the narrowest
 // signed representation, e.g. 0 -> 1, 3 -> 3, -3 -> 3, 0x1FFFF -> 18.
 // This is the quantity the paper's profiler measures to decide whether an
-// operation is narrow enough for PFU implementation.
-int signed_width(std::uint32_t v);
+// operation is narrow enough for PFU implementation. Inline: the profiler
+// evaluates it for every operand of every committed instruction.
+inline int signed_width(std::uint32_t v) {
+  const std::uint32_t key =
+      (v & 0x8000'0000u) != 0 ? ~v : v;  // strip redundant sign bits
+  return 33 - std::countl_zero(key);
+}
 
 }  // namespace t1000

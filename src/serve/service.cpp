@@ -12,11 +12,17 @@
 namespace t1000::serve {
 namespace {
 
+// Every JSON body the API sends, a finished job's stored results included.
+std::string render_body(const Json& body) {
+  std::string out = body.dump(2);
+  out += '\n';
+  return out;
+}
+
 HttpResponse json_response(int status, const Json& body) {
   HttpResponse r;
   r.status = status;
-  r.body = body.dump(2);
-  r.body += '\n';
+  r.body = render_body(body);
   return r;
 }
 
@@ -231,7 +237,7 @@ void SimService::runner_main() {
         finished.state = JobState::kDone;
         finished.wall_ms = result.engine().wall_ms;
         finished.summary = result.engine_summary();
-        finished.results = result.to_json();
+        finished.results = render_body(result.to_json());
       } catch (const std::exception& e) {
         finished.error = e.what();
       } catch (...) {
@@ -353,8 +359,11 @@ HttpResponse SimService::handle_job_results(std::uint64_t id) const {
       return json_response(202, job_status_json(job));
     case JobState::kFailed:
       return json_response(500, job_status_json(job));
-    case JobState::kDone:
-      return json_response(200, job.results);
+    case JobState::kDone: {
+      HttpResponse r;
+      r.body = job.results;
+      return r;
+    }
   }
   return error_json(500, "unreachable job state");
 }

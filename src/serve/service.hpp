@@ -152,7 +152,10 @@ class SimService {
     double wall_ms = 0.0;   // grid wall-clock once done
     std::string summary;    // engine summary once done
     std::string error;      // diagnostic once failed
-    Json results;           // full results document once done
+    // The /results 200 body once done, rendered by the runner before it
+    // takes mu_: a rendered document is a fraction of its Json tree's
+    // size, and serving it is a string copy under the lock.
+    std::string results;
     // The shared cache's counter movement attributed to this job
     // (Counters::since over snapshots around the grid), filled once the
     // job finishes; exported at /v1/jobs/<id>/summary.

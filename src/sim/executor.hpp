@@ -20,6 +20,7 @@ namespace t1000 {
 
 struct UopProgram;    // sim/ucode.hpp
 class CommittedTrace;  // sim/trace.hpp
+struct Profile;        // sim/profiler.hpp
 
 class SimError : public std::runtime_error {
  public:
@@ -97,11 +98,14 @@ class Executor {
 
  private:
   // The threaded interpreter's loop drives the executor's state directly
-  // (sim/ucode.cpp); record_trace(const UopProgram&, ...) records through
-  // the private no-StepInfo fast path.
+  // (sim/ucode.cpp); record_trace(const UopProgram&, ...) and
+  // profile_program(const UopProgram&, ...) record and profile through the
+  // private no-StepInfo fast paths.
   friend struct UcodeImpl;
   friend CommittedTrace record_trace(const UopProgram& ucode,
                                      std::uint64_t max_steps);
+  friend Profile profile_program(const UopProgram& ucode,
+                                 std::uint64_t max_steps);
 
   std::uint32_t jump_target_index(std::uint32_t byte_addr) const;
 
@@ -114,6 +118,7 @@ class Executor {
   StepInfo step_ucode();
   std::uint64_t run_ucode(std::uint64_t max_steps);
   void record_ucode(CommittedTrace& trace, std::uint64_t max_steps);
+  void profile_ucode(Profile& prof, std::uint64_t max_steps);
 
   const Program& program_;
   const ExtInstTable* ext_table_;

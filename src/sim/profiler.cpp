@@ -1,52 +1,23 @@
 #include "sim/profiler.hpp"
 
-#include <algorithm>
 #include <string>
 
-#include "isa/alu.hpp"
 #include "sim/ucode.hpp"
 
 namespace t1000 {
-namespace {
 
-Profile profile_with(Executor& exec, const Program& program,
-                     std::uint64_t max_steps) {
-  Profile prof;
-  prof.insts.resize(static_cast<std::size_t>(program.size()));
-  while (!exec.halted()) {
-    if (exec.steps_executed() >= max_steps) {
-      throw SimError("profile_program: step bound exceeded");
-    }
-    const StepInfo info = exec.step();
-    if (info.index >= program.size()) break;  // clean off-the-end halt
-    InstProfile& ip = prof.insts[static_cast<std::size_t>(info.index)];
-    ++ip.count;
-    for (int i = 0; i < info.num_src; ++i) {
-      ip.max_src_width = std::max(
-          ip.max_src_width, signed_width(info.src_vals[static_cast<std::size_t>(i)]));
-    }
-    if (info.has_result) {
-      ip.max_result_width =
-          std::max(ip.max_result_width, signed_width(info.result));
-    }
-    ++prof.total_dynamic;
-    prof.total_base_cycles +=
-        static_cast<std::uint64_t>(base_latency(info.ins.op));
-  }
-  return prof;
-}
-
-}  // namespace
-
+// Both overloads run the uop interpreter's profile policy (sim/ucode.cpp),
+// which folds each committed step straight into the Profile.
 Profile profile_program(const Program& program, std::uint64_t max_steps,
                         const ExtInstTable* ext_table) {
-  Executor exec(program, ext_table);
-  return profile_with(exec, program, max_steps);
+  return profile_program(UopProgram::build(program, ext_table), max_steps);
 }
 
 Profile profile_program(const UopProgram& ucode, std::uint64_t max_steps) {
   Executor exec(ucode);
-  return profile_with(exec, *ucode.program, max_steps);
+  Profile prof;
+  exec.profile_ucode(prof, max_steps);
+  return prof;
 }
 
 void annotate_hot_regions(const Profile& profile, const Program& program,

@@ -43,6 +43,8 @@ struct Profile {
 
 // Runs `program` to completion (bounded by `max_steps`) and returns the
 // profile. Throws SimError if the program does not halt within the bound.
+// Profiling runs inside the uop interpreter (sim/ucode.hpp), which folds
+// each committed step into the profile without materializing a StepInfo.
 Profile profile_program(const Program& program, std::uint64_t max_steps,
                         const ExtInstTable* ext_table = nullptr);
 

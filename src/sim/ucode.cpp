@@ -1,13 +1,16 @@
 #include "sim/ucode.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "cfg/cfg.hpp"
 #include "isa/alu.hpp"
 #include "sim/executor.hpp"
+#include "sim/profiler.hpp"
 #include "sim/trace.hpp"
 
 // Dispatch scheme selection. Computed goto (a GCC/Clang extension) keeps
@@ -180,17 +183,18 @@ std::string disassemble(const UopProgram& ucode) {
 // ---------------------------------------------------------------------------
 // The dispatch loop.
 //
-// One loop body serves step()/run()/record_trace() through a Policy with
-// two hooks:
+// One loop body serves step()/run()/record_trace()/profile_program()
+// through a Policy with two hooks:
 //
 //   bool begin(std::uint64_t steps)  — before each dispatch; false stops
-//     the loop (run bound reached, single step done); record's variant
-//     throws SimError on a blown step bound instead, matching the
-//     reference record loop.
+//     the loop (run bound reached, single step done); the record and
+//     profile variants throw SimError on a blown step bound instead,
+//     matching the reference loops.
 //   void commit(...)                 — after each committed step, with the
 //     full observable projection; each policy keeps what it needs (record
-//     appends the SoA row, run counts, step materializes a StepInfo) and
-//     inlining dead-code-eliminates the rest.
+//     appends the SoA row, profile folds counts and widths, run counts,
+//     step materializes a StepInfo) and inlining dead-code-eliminates the
+//     rest.
 //
 // Executor state lives in locals (pc, steps) for the duration; a thrown
 // SimError/MemError writes them back before propagating, which leaves the
@@ -329,6 +333,73 @@ struct UcodeImpl {
         trace.mem_size_.shrink_to_fit();
         trace.flags_.shrink_to_fit();
       }
+    }
+  };
+
+  // Folds each committed step into a Profile (sim/profiler.hpp): the
+  // static index's count and widest source/result, plus the run totals.
+  // The off-the-end sentinel is not an instruction and is skipped.
+  // `latency` is the base-latency column of the program (one entry per
+  // static index), built once per run so a commit reads no Instruction.
+  struct ProfilePolicy {
+    Profile& prof;
+    const std::uint32_t* latency;
+    std::uint64_t max_steps;
+
+    struct Cursor {
+      InstProfile* insts;
+      const std::uint32_t* latency;
+      std::uint64_t max_steps;
+      std::uint64_t dynamic;
+      std::uint64_t base_cycles;
+
+      bool begin(std::uint64_t steps) const {
+        if (steps >= max_steps) {
+          throw SimError("profile_program: step bound exceeded");
+        }
+        return true;
+      }
+      // The fold shared by both commit paths, all but the source widths.
+      InstProfile& count(std::int32_t idx, bool has_result,
+                         std::uint32_t result) {
+        InstProfile& ip = insts[idx];
+        ++ip.count;
+        if (has_result) {
+          ip.max_result_width =
+              std::max(ip.max_result_width, signed_width(result));
+        }
+        ++dynamic;
+        base_cycles += latency[idx];
+        return ip;
+      }
+      static void widen_src(InstProfile& ip, std::uint32_t v) {
+        ip.max_src_width = std::max(ip.max_src_width, signed_width(v));
+      }
+      void commit(std::int32_t idx, std::int32_t, std::uint32_t a,
+                  std::uint32_t b, int nsrc, bool has_result,
+                  std::uint32_t result, bool, std::uint32_t, std::uint8_t,
+                  bool, bool sentinel) {
+        if (sentinel) return;
+        InstProfile& ip = count(idx, has_result, result);
+        if (nsrc > 0) widen_src(ip, a);
+        if (nsrc > 1) widen_src(ip, b);
+      }
+      // kInterp steps, e.g. a MIMO EXT with up to kMaxExtInputs sources.
+      void commit_info(const StepInfo& info, bool sentinel) {
+        if (sentinel) return;
+        InstProfile& ip = count(info.index, info.has_result, info.result);
+        for (int i = 0; i < info.num_src; ++i) {
+          widen_src(ip, info.src_vals[static_cast<std::size_t>(i)]);
+        }
+      }
+    };
+    Cursor cursor() {
+      return {prof.insts.data(), latency, max_steps, prof.total_dynamic,
+              prof.total_base_cycles};
+    }
+    void sync(const Cursor& c) {
+      prof.total_dynamic = c.dynamic;
+      prof.total_base_cycles = c.base_cycles;
     }
   };
 
@@ -803,6 +874,17 @@ void Executor::record_ucode(CommittedTrace& trace, std::uint64_t max_steps) {
   UcodeImpl::RecordPolicy policy{trace, max_steps};
   if (!halted_) UcodeImpl::execute(*this, *ucode_, policy);
   policy.finish();
+}
+
+void Executor::profile_ucode(Profile& prof, std::uint64_t max_steps) {
+  const Program& program = *ucode_->program;
+  std::vector<std::uint32_t> latency(program.text.size());
+  for (std::size_t i = 0; i < latency.size(); ++i) {
+    latency[i] = static_cast<std::uint32_t>(base_latency(program.text[i].op));
+  }
+  prof.insts.assign(latency.size(), InstProfile{});
+  UcodeImpl::ProfilePolicy policy{prof, latency.data(), max_steps};
+  if (!halted_) UcodeImpl::execute(*this, *ucode_, policy);
 }
 
 CommittedTrace record_trace(const UopProgram& ucode,

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <map>
 #include <set>
@@ -18,6 +19,7 @@
 #include "harness/cache.hpp"
 #include "harness/serialize.hpp"
 #include "obs/journal.hpp"
+#include "sim/executor.hpp"
 
 namespace t1000 {
 namespace {
@@ -495,6 +497,111 @@ TEST(Grid, RunBudgetForcesPerRunExecution) {
   const GridResult res = grid.run(options);
   EXPECT_EQ(res.engine().batches, 0u);
   for (const RunResult& r : res.runs()) EXPECT_EQ(r.status, RunStatus::kOk);
+}
+
+// A workload that assembles (so its cache key can be built) but never
+// halts: building its experiment fails in the profiling run.
+Workload spinning_workload() {
+  return Workload{"spin", "never halts", "main: j main\n", 1000};
+}
+
+// Specs of `names` interleaved one by one across the workloads, so each
+// workload's experiment is released while other workloads' groups are
+// still queued. Same-policy greedy and selective specs at two latencies
+// form two-lane batches.
+ExperimentGrid interleaved_grid(const std::vector<std::string>& names) {
+  ExperimentGrid grid;
+  for (const std::string& name : names) {
+    grid.add_workload(name == "spin" ? spinning_workload()
+                                     : *find_workload(name));
+  }
+  for (const std::string& name : names) grid.add(baseline_spec(name));
+  for (const int latency : {0, 10}) {
+    for (const std::string& name : names) {
+      grid.add(greedy_spec(name, "greedy-lat" + std::to_string(latency), 2,
+                           latency));
+      grid.add(selective_spec(name, "2pfu-lat" + std::to_string(latency), 2,
+                              latency));
+    }
+  }
+  return grid;
+}
+
+// The trace and verification totals of each workload run in a grid of its
+// own: what an interleaved grid must report when every experiment's
+// counters survive its early release.
+EngineStats per_workload_totals(const std::vector<std::string>& names,
+                                const GridOptions& options) {
+  EngineStats sum;
+  for (const std::string& name : names) {
+    GridOptions solo = options;
+    solo.jobs = 1;
+    const EngineStats e = interleaved_grid({name}).run(solo).engine();
+    sum.traces_recorded += e.traces_recorded;
+    sum.trace_replays += e.trace_replays;
+    sum.verified_preps += e.verified_preps;
+  }
+  return sum;
+}
+
+TEST(Grid, EarlyReleaseKeepsTraceAndVerifyCountersExact) {
+  const std::vector<std::string> good = {"gsm_dec", "g721_dec"};
+  GridOptions options;
+  options.verify = true;
+  const EngineStats want = per_workload_totals(good, options);
+  // Three preparations per workload: baseline, greedy and selective.
+  EXPECT_EQ(want.traces_recorded, 6u);
+  EXPECT_EQ(want.verified_preps, 6u);
+  EXPECT_GT(want.trace_replays, 0u);
+
+  // The spinning workload's experiment never builds: its runs fail, and
+  // its slot releases nothing and counts nothing.
+  const ExperimentGrid grid =
+      interleaved_grid({"gsm_dec", "spin", "g721_dec"});
+  for (const int jobs : {1, 4}) {
+    options.jobs = jobs;
+    const GridResult res = grid.run(options);
+    const EngineStats& got = res.engine();
+    EXPECT_EQ(got.traces_recorded, want.traces_recorded) << "jobs " << jobs;
+    EXPECT_EQ(got.trace_replays, want.trace_replays) << "jobs " << jobs;
+    EXPECT_EQ(got.verified_preps, want.verified_preps) << "jobs " << jobs;
+    EXPECT_EQ(got.ok, 10u) << "jobs " << jobs;
+    EXPECT_EQ(got.failed, 5u) << "jobs " << jobs;
+    EXPECT_EQ(res.at("spin", "baseline").error_kind, RunErrorKind::kSim);
+  }
+}
+
+TEST(Grid, EarlyReleaseCountsRunsBeforeFailLimitSkips) {
+  // jobs=1 claims groups in order: two gsm_dec runs, then the failure that
+  // trips the limit, then skips — including gsm_dec's last group, whose
+  // skip is what releases gsm_dec's experiment.
+  ExperimentGrid grid;
+  grid.add_workload(*find_workload("gsm_dec"));
+  grid.add_workload(*find_workload("g721_dec"));
+  grid.add_workload(spinning_workload());
+  grid.add(baseline_spec("gsm_dec"));
+  grid.add(greedy_spec("gsm_dec", "greedy", PfuConfig::kUnlimited, 0));
+  grid.add(baseline_spec("spin"));
+  grid.add(selective_spec("gsm_dec", "2pfu", 2, 10));
+  grid.add(baseline_spec("g721_dec"));
+  GridOptions options;
+  options.jobs = 1;
+  options.fail_limit = 1;
+  const GridResult res = grid.run(options);
+  EXPECT_EQ(res.engine().ok, 2u);
+  EXPECT_EQ(res.engine().failed, 1u);
+  EXPECT_EQ(res.engine().skipped, 2u);
+  // The gsm_dec baseline recorded at construction plus greedy; the
+  // baseline run replayed the former.
+  EXPECT_EQ(res.engine().traces_recorded, 2u);
+  EXPECT_EQ(res.engine().trace_replays, 1u);
+
+  // Strict mode skips the same groups, then rethrows the failure.
+  options.strict = true;
+  for (const int jobs : {1, 4}) {
+    options.jobs = jobs;
+    EXPECT_THROW(grid.run(options), SimError) << "jobs " << jobs;
+  }
 }
 
 TEST(Grid, CorruptDiskEntriesAreQuarantinedOnceAndRepaired) {

@@ -114,6 +114,30 @@ TEST(Service, SubmittedJobMatchesInProcessGridByteForByte) {
   EXPECT_EQ(local.at("results").dump(), reference.results_json().dump());
 }
 
+TEST(Service, FinishedJobServesOneRenderedBody) {
+  SimService service(ServiceOptions{});
+  const Json request = small_request();
+  const HttpResponse submitted =
+      service.handle_http(post("/v1/jobs", request.dump()));
+  ASSERT_EQ(submitted.status, 202);
+  const std::uint64_t id = Json::parse(submitted.body).at("job").as_uint();
+  ASSERT_EQ(wait_for_job(service, id).at("state").as_string(), "done");
+
+  const std::string path = "/v1/jobs/" + std::to_string(id) + "/results";
+  const HttpResponse first = service.handle_http(get(path));
+  const HttpResponse second = service.handle_http(get(path));
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(first.content_type, "application/json");
+  EXPECT_EQ(second.status, 200);
+  EXPECT_EQ(first.body, second.body);
+  // The stored body is exactly the API's rendering of its document.
+  const Json doc = Json::parse(first.body);
+  EXPECT_EQ(doc.dump(2) + "\n", first.body);
+
+  const Json local = service.run_local(request);
+  EXPECT_EQ(doc.at("results").dump(2), local.at("results").dump(2));
+}
+
 TEST(Service, AdmissionRejectsBeyondTheQueueLimitWith429) {
   ServiceOptions options;
   options.queue_limit = 1;
