@@ -70,7 +70,8 @@ enum class StallCause : int {
                      // window is empty while instructions are in fetch
   kRuuFull,          // window full behind a long-running head
   kMshrFull,         // head memory op blocked: no free miss slot
-  kOperandWait,      // head waiting on producers / older overlapping stores
+  kOperandWait,      // never charged: the head's producers and older
+                     // stores have committed (kept for the ten-cause shape)
   kExtReconfig,      // head EXT waiting on its PFU reconfiguration
   kExecMem,          // head memory op in flight past the L1 hit time
   kExec,             // head executing a multi-cycle operation
