@@ -194,6 +194,7 @@ DecodeTable::DecodeTable(const Program& program) {
         i < n ? program.text[static_cast<std::size_t>(i)] : make_halt();
     DecodeRow row;
     row.pc = program.pc_of(i);
+    row.index = i;
     row.srcs = src_regs(ins);
     row.conf = ins.conf;
     row.op = ins.op;
@@ -206,6 +207,7 @@ DecodeTable::DecodeTable(const Program& program) {
     row.is_ctrl = is_control(ins.op) && ins.op != Opcode::kHalt;
     row.is_store = is_store(ins.op);
     row.is_ext = ins.op == Opcode::kExt;
+    row.sentinel = i == n;
     rows_.push_back(row);
   }
 }

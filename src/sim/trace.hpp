@@ -179,6 +179,7 @@ CommittedTrace record_trace(const UopProgram& ucode, std::uint64_t max_steps);
 // its row — the timing-side counterpart of the UopProgram (sim/ucode.hpp).
 struct DecodeRow {
   std::uint32_t pc = 0;         // byte address of the instruction (I-cache key)
+  std::int32_t index = 0;       // instruction index (predictor key, trace pc)
   SrcRegs srcs;                 // register operands read (renaming)
   ConfId conf = kInvalidConf;   // EXT configuration
   Opcode op = Opcode::kNop;
@@ -188,6 +189,7 @@ struct DecodeRow {
   bool is_ctrl = false;         // consults the branch predictor
   bool is_store = false;        // participates in store->load ordering
   bool is_ext = false;          // requests a PFU configuration at decode
+  bool sentinel = false;        // the off-the-end halt row, never fetched
 };
 
 // Rows 0 .. program.size()-1 decode the program text; the extra row at
@@ -211,17 +213,15 @@ class DecodeTable {
   std::vector<DecodeRow> rows_;
 };
 
-// One committed step as the pipeline carries it through the fetch queue
-// and the RUU: its static row plus the dynamic fields.
+// One committed step as a step source hands it to the fetch stage: its
+// static row plus the dynamic fields.
 struct DecodedStep {
   const DecodeRow* row = nullptr;
-  std::int32_t index = 0;       // instruction index (the row's index)
   std::int32_t next_index = 0;  // successor index
   std::uint32_t mem_addr = 0;
   std::uint8_t mem_size = 0;
   bool taken = false;           // branch outcome
 };
-static_assert(sizeof(DecodedStep) <= 24, "copied per fetch and dispatch");
 
 // A committed trace next to its program's decode table: what every replay,
 // single or batched, steps through. `trace` must outlive it.
@@ -248,17 +248,17 @@ class DecodedTrace {
 class TraceCursor {
  public:
   explicit TraceCursor(const DecodedTrace& decoded)
-      : trace_(&decoded.trace()), table_(&decoded.table()) {}
+      : trace_(&decoded.trace()),
+        table_(&decoded.table()),
+        end_(decoded.trace().size()) {}
 
-  bool halted() const { return pos_ >= trace_->size(); }
+  bool halted() const { return pos_ >= end_; }
   std::uint32_t next_pc() const {
     return table_->row(trace_->index_[pos_]).pc;
   }
   DecodedStep step() {
     const std::size_t i = pos_++;
-    const std::int32_t index = trace_->index_[i];
-    return {.row = &table_->row(index),
-            .index = index,
+    return {.row = &table_->row(trace_->index_[i]),
             .next_index = trace_->next_index_[i],
             .mem_addr = trace_->mem_addr_[i],
             .mem_size = static_cast<std::uint8_t>(trace_->mem_size_[i]),
@@ -269,6 +269,7 @@ class TraceCursor {
  private:
   const CommittedTrace* trace_;
   const DecodeTable* table_;
+  std::size_t end_;  // trace size, read once per fetched instruction
   std::size_t pos_ = 0;
 };
 

@@ -26,44 +26,21 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   set_mask_ = sets_ - 1;
 }
 
-bool Cache::access(std::uint32_t addr, bool is_write) {
-  ++stats_.accesses;
-  ++tick_;
-  std::uint32_t set;
-  std::uint32_t tag;
-  if (line_shift_ >= 0) {
-    const std::uint32_t line = addr >> line_shift_;
-    set = line & set_mask_;
-    tag = line >> set_shift_;
-  } else {
-    const std::uint32_t line = addr / config_.line_bytes;
-    set = line % sets_;
-    tag = line / sets_;
-  }
-  Way* base = &ways_[static_cast<std::size_t>(set) * config_.assoc];
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.last_use = tick_;
-      way.dirty = way.dirty || is_write;
-      return true;
-    }
-  }
+void Cache::fill(Way* set, std::uint32_t tag, bool is_write) {
   ++stats_.misses;
-  Way* victim = base;
+  Way* victim = set;
   for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
+    if (!set[w].valid) {
+      victim = &set[w];
       break;
     }
-    if (base[w].last_use < victim->last_use) victim = &base[w];
+    if (set[w].last_use < victim->last_use) victim = &set[w];
   }
   if (victim->valid && victim->dirty) ++stats_.writebacks;
   victim->valid = true;
   victim->tag = tag;
   victim->last_use = tick_;
   victim->dirty = is_write;
-  return false;
 }
 
 Tlb::Tlb(const TlbConfig& config) : config_(config) {
@@ -71,24 +48,12 @@ Tlb::Tlb(const TlbConfig& config) : config_(config) {
   page_shift_ = pow2_shift(config_.page_bytes);
 }
 
-int Tlb::access(std::uint32_t addr) {
-  ++stats_.accesses;
-  ++tick_;
-  const std::uint32_t page = page_shift_ >= 0 ? addr >> page_shift_
-                                              : addr / config_.page_bytes;
-  // Repeated accesses overwhelmingly hit the same page; a hit only touches
-  // the matching entry's last_use, so serving it from the remembered entry
-  // is state-identical to the full scan below finding it.
-  Entry& last = entries_[last_hit_];
-  if (last.valid && last.page == page) {
-    last.last_use = tick_;
-    return 0;
-  }
+int Tlb::scan(std::uint32_t page, std::uint32_t& hint) {
   Entry* victim = &entries_[0];
   for (Entry& e : entries_) {
     if (e.valid && e.page == page) {
       e.last_use = tick_;
-      last_hit_ = static_cast<std::uint32_t>(&e - entries_.data());
+      hint = static_cast<std::uint32_t>(&e - entries_.data());
       return 0;
     }
     if (!e.valid || (victim->valid && e.last_use < victim->last_use)) {
@@ -99,7 +64,7 @@ int Tlb::access(std::uint32_t addr) {
   victim->valid = true;
   victim->page = page;
   victim->last_use = tick_;
-  last_hit_ = static_cast<std::uint32_t>(victim - entries_.data());
+  hint = static_cast<std::uint32_t>(victim - entries_.data());
   return config_.miss_latency;
 }
 
@@ -109,13 +74,10 @@ MemHierarchy::MemHierarchy(const CacheConfig& l1, Cache* shared_l2,
   assert(l2_ != nullptr);
 }
 
-int MemHierarchy::access(std::uint32_t addr, bool is_write) {
-  int latency = tlb_.access(addr);
-  latency += l1_.config().hit_latency;
-  if (l1_.access(addr, is_write)) return latency;
+int MemHierarchy::l1_miss_latency(std::uint32_t addr) {
   // Write-back/write-allocate: the L2 fill is a read even for store misses;
   // dirtiness propagates to L2 only when L1 evicts (write buffer, free).
-  latency += l2_->config().hit_latency;
+  const int latency = l2_->config().hit_latency;
   if (l2_->access(addr)) return latency;
   return latency + mem_latency_;
 }

@@ -21,7 +21,7 @@ TEST(Trace, DecodeTableMatchesInstructionDecode) {
   // Every row must hold what decoding the instruction at its index
   // derives, for every bundled workload as written and as rewritten by
   // both selectors (so EXT rows are covered), and the row past the text
-  // must be the off-the-end halt.
+  // must be the off-the-end halt, the only row flagged as the sentinel.
   std::vector<Workload> workloads = all_workloads();
   for (const auto* suite : {&extended_workloads(), &compiled_workloads()}) {
     workloads.insert(workloads.end(), suite->begin(), suite->end());
@@ -43,6 +43,8 @@ TEST(Trace, DecodeTableMatchesInstructionDecode) {
         const std::string at = w.name + "/" + spec.label + " row " +
                                std::to_string(index);
         EXPECT_EQ(row.pc, p.pc_of(index)) << at;
+        EXPECT_EQ(row.index, index) << at;
+        EXPECT_EQ(row.sentinel, index == p.size()) << at;
         EXPECT_EQ(row.op, ins.op) << at;
         EXPECT_EQ(row.conf, ins.conf) << at;
         EXPECT_EQ(row.fu, fu_class(ins.op)) << at;

@@ -116,7 +116,7 @@ TEST(Trace, CursorWalksWholeTraceOnce) {
     EXPECT_EQ(cursor.next_pc(), p.pc_of(want.index));
     const DecodedStep step = cursor.step();
     EXPECT_EQ(step.row, &decoded.table().row(want.index));
-    EXPECT_EQ(step.index, want.index);
+    EXPECT_EQ(step.row->index, want.index);
     EXPECT_EQ(step.next_index, want.next_index);
     EXPECT_EQ(step.mem_addr, want.mem_addr);
     EXPECT_EQ(step.mem_size, want.mem_size);

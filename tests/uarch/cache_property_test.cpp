@@ -1,6 +1,6 @@
-// Property test: the production cache must agree hit-for-hit with a naive
-// reference implementation of set-associative LRU over random address
-// streams and several geometries.
+// Property test: the production cache and TLB must agree hit-for-hit with
+// naive reference implementations of LRU over random address streams and
+// several geometries.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -77,6 +77,75 @@ TEST_P(CacheAgreement, MatchesReferenceOnRandomStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheAgreement, ::testing::Range(1, 9));
+
+// Reference TLB: one fully-associative list ordered most-recent-first.
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(const TlbConfig& config) : config_(config) {}
+
+  int access(std::uint32_t addr) {
+    ++stats_.accesses;
+    const std::uint32_t page = addr / config_.page_bytes;
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (*it == page) {
+        lru_.erase(it);
+        lru_.push_front(page);
+        return 0;
+      }
+    }
+    ++stats_.misses;
+    lru_.push_front(page);
+    if (lru_.size() > config_.entries) lru_.pop_back();
+    return config_.miss_latency;
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  TlbConfig config_;
+  std::list<std::uint32_t> lru_;
+  CacheStats stats_;
+};
+
+class TlbAgreement : public ::testing::TestWithParam<int> {};
+
+TEST_P(TlbAgreement, MatchesReferenceOnRandomStreams) {
+  std::uint32_t state = static_cast<std::uint32_t>(GetParam()) * 2246822519u + 7;
+  auto rng = [&state] {
+    state ^= state << 13;
+    state ^= state >> 17;
+    state ^= state << 5;
+    return state;
+  };
+  // 3000-byte pages take the division path.
+  for (const std::uint32_t page_bytes : {4096u, 3000u}) {
+    for (const std::uint32_t entries : {1u, 3u, 64u}) {
+      const TlbConfig cfg{.entries = entries, .page_bytes = page_bytes,
+                          .miss_latency = 30};
+      Tlb tlb(cfg);
+      ReferenceTlb ref(cfg);
+      for (int i = 0; i < 6000; ++i) {
+        // Hot pages, pages 256 apart (they share a hint slot), and a spread
+        // of more pages than any geometry has entries.
+        std::uint32_t page;
+        switch (rng() % 3) {
+          case 0: page = rng() % 4; break;
+          case 1: page = 256 * (rng() % 6) + 5; break;
+          default: page = rng() % 200; break;
+        }
+        const std::uint32_t addr = page * page_bytes + rng() % page_bytes;
+        ASSERT_EQ(tlb.access(addr), ref.access(addr))
+            << "entries " << entries << " page " << page_bytes << " access "
+            << i << " addr " << addr;
+      }
+      EXPECT_EQ(tlb.stats().accesses, ref.stats().accesses);
+      EXPECT_EQ(tlb.stats().misses, ref.stats().misses)
+          << "entries " << entries << " page " << page_bytes;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TlbAgreement, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace t1000
