@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/executor.hpp"
+
 namespace t1000 {
 
 PfuBank::PfuBank(const PfuConfig& config) : config_(config) {
@@ -46,9 +48,9 @@ std::uint64_t PfuBank::request(ConfId conf, std::uint64_t now) {
   }
 
   if (units_.empty()) {
-    // No PFUs: the caller should never dispatch EXT on such a machine.
-    assert(false && "EXT dispatched on a machine without PFUs");
-    return now;
+    // A program with EXT needs a machine with PFUs to run it on.
+    throw SimError("timing: EXT dispatched on a machine without PFUs "
+                   "(pfu.count = 0)");
   }
 
   // Miss: reload the least-recently-used unit.

@@ -44,7 +44,8 @@ class PfuBank {
 
   // Decode-stage tag check at cycle `now`. Returns the cycle from which the
   // extended instruction may issue: `now` on a hit, or the completion time
-  // of the reconfiguration started for it.
+  // of the reconfiguration started for it. Throws SimError on a bank of
+  // zero PFUs, which cannot execute an extended instruction at all.
   std::uint64_t request(ConfId conf, std::uint64_t now);
 
   void set_listener(PfuListener* listener) { listener_ = listener; }

@@ -604,6 +604,33 @@ TEST(Grid, EarlyReleaseCountsRunsBeforeFailLimitSkips) {
   }
 }
 
+TEST(Grid, GreedyOnAMachineWithoutPfusFailsAlone) {
+  // A greedy rewrite dispatches EXT, which the default machine (no PFUs)
+  // cannot execute: that run is a sim error, not a free EXT. Its sibling
+  // greedy run shares its trace and replay batch and stays ok.
+  ExperimentGrid grid;
+  grid.add_workload(*find_workload("gsm_dec"));
+  grid.add(baseline_spec("gsm_dec"));
+  RunSpec nopfu = greedy_spec("gsm_dec", "greedy-default", 2, 10);
+  nopfu.machine = baseline_machine();
+  grid.add(nopfu);
+  grid.add(greedy_spec("gsm_dec", "greedy2", 2, 10));
+  for (const int jobs : {1, 4}) {
+    GridOptions options;
+    options.jobs = jobs;
+    const GridResult res = grid.run(options);
+    EXPECT_EQ(res.engine().ok, 2u) << "jobs " << jobs;
+    EXPECT_EQ(res.engine().failed, 1u) << "jobs " << jobs;
+    const RunResult& bad = res.at("gsm_dec", "greedy-default");
+    EXPECT_EQ(bad.status, RunStatus::kError);
+    EXPECT_EQ(bad.error_kind, RunErrorKind::kSim);
+    EXPECT_NE(bad.error.find("pfu.count"), std::string::npos) << bad.error;
+    EXPECT_TRUE(res.at("gsm_dec", "baseline").ok());
+    ASSERT_TRUE(res.at("gsm_dec", "greedy2").ok());
+    EXPECT_GT(res.at("gsm_dec", "greedy2").outcome.stats.pfu.lookups, 0u);
+  }
+}
+
 TEST(Grid, CorruptDiskEntriesAreQuarantinedOnceAndRepaired) {
   const TempDir dir("corrupt");
   const ExperimentGrid grid = small_grid();

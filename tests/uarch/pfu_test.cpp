@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "sim/executor.hpp"
+
 namespace t1000 {
 namespace {
 
@@ -10,6 +14,17 @@ TEST(PfuBank, FirstUseReconfigures) {
   EXPECT_EQ(bank.request(0, 100), 110u);
   EXPECT_EQ(bank.stats().reconfigurations, 1u);
   EXPECT_EQ(bank.stats().hits, 0u);
+}
+
+TEST(PfuBank, RequestOnZeroPfusThrows) {
+  PfuBank bank({.count = 0, .reconfig_latency = 10});
+  try {
+    bank.request(0, 100);
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("pfu.count"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PfuBank, HitAfterLoad) {
