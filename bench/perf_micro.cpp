@@ -42,9 +42,11 @@ void BM_TimingSim(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingSim)->Unit(benchmark::kMillisecond);
 
-// Cost of capturing the committed trace: functional execution plus the
-// 14-byte-per-step SoA append (sim/trace.hpp). Compare with
-// BM_FunctionalSim for the pure recording overhead.
+// Cost of capturing the committed trace: functional execution, the
+// transient index column and the sparse streams (taken bits, addresses,
+// register-jump targets), and the content hash folded over the logical
+// columns in finalize() (sim/trace.hpp). Compare with BM_FunctionalSim for
+// the pure recording overhead.
 void BM_RecordTrace(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   std::uint64_t steps = 0;
@@ -61,7 +63,7 @@ BENCHMARK(BM_RecordTrace)->Unit(benchmark::kMillisecond);
 // (AnalyzedProgram::ucode / PreparedRun::ucode). The delta against
 // BM_RecordTrace is the decode cost record_trace(program, ...) pays per
 // call; the delta against BM_FunctionalSim is the pure cost of committing
-// the 14-byte SoA steps.
+// the steps to the trace and hashing it.
 void BM_ExecuteUops(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const UopProgram ucode = UopProgram::build(p, /*ext_table=*/nullptr);

@@ -1,8 +1,11 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <new>
+#include <utility>
 
 #include "sim/ucode.hpp"
 
@@ -113,77 +116,239 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
 
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return (h ^ word) * kFnvPrime;
+}
+
 std::uint64_t fnv(const void* data, std::size_t bytes, std::uint64_t h) {
   const auto* p = static_cast<const unsigned char*>(data);
   while (bytes >= 8) {
     std::uint64_t word;
     std::memcpy(&word, p, 8);  // host is little-endian, as sim/memory.cpp
-    h ^= word;
-    h *= kFnvPrime;
+    h = fold(h, word);
     p += 8;
     bytes -= 8;
   }
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+  for (std::size_t i = 0; i < bytes; ++i) h = fold(h, p[i]);
+  return h;
+}
+
+// The next 8-byte word of a column of kBytes-wide elements, little-endian.
+// Unrolled at compile time: the column folds below are bound by the work
+// that generates each element.
+template <std::size_t kBytes, typename Next, std::size_t... K>
+std::uint64_t next_word(Next& next, std::index_sequence<K...>) {
+  std::uint64_t word = 0;
+  ((word |= std::uint64_t{next()} << (8 * kBytes * K)), ...);
+  return word;
+}
+
+// Folds a column of `n` elements of kBytes each, produced in order by
+// next(), exactly as fnv() folds the same column materialized — without
+// materializing it.
+template <std::size_t kBytes, typename Next>
+std::uint64_t fold_column(std::size_t n, std::uint64_t h, Next&& next) {
+  constexpr std::size_t kPerWord = 8 / kBytes;
+  std::size_t i = 0;
+  for (; i + kPerWord <= n; i += kPerWord) {
+    h = fold(h, next_word<kBytes>(next, std::make_index_sequence<kPerWord>{}));
+  }
+  for (; i < n; ++i) {
+    const std::uint64_t v = next();
+    for (std::size_t b = 0; b < kBytes; ++b) h = fold(h, (v >> (8 * b)) & 0xFF);
   }
   return h;
 }
 
-template <typename T, typename A>
-std::uint64_t fnv_vec(const std::vector<T, A>& v, std::uint64_t h) {
-  return v.empty() ? h : fnv(v.data(), v.size() * sizeof(T), h);
+// The text fingerprint a trace keeps of the program it was recorded from.
+std::uint64_t text_fingerprint(const Program& program) {
+  std::uint64_t h = fold(kFnvOffset, program.text.size());
+  for (const Instruction& ins : program.text) {
+    h = fold(h, static_cast<std::uint64_t>(ins.op) |
+                    std::uint64_t{ins.rd} << 8 | std::uint64_t{ins.rs} << 16 |
+                    std::uint64_t{ins.rt} << 24 |
+                    std::uint64_t{ins.conf} << 32);
+    h = fold(h, static_cast<std::uint32_t>(ins.imm));
+  }
+  return h;
+}
+
+// The logical flag bits content_hash() covers, one byte per step.
+constexpr std::uint8_t kFlagBranchTaken = 1u << 0;
+constexpr std::uint8_t kFlagIsMem = 1u << 1;
+constexpr std::uint8_t kFlagSentinel = 1u << 2;
+
+// The control kind of `op` (a sentinel step is kStop: it executes a halt).
+ControlKind control_kind(Opcode op) {
+  switch (op_kind(op)) {
+    case OpKind::kBranch1:
+    case OpKind::kBranch2:
+      return ControlKind::kConditional;
+    case OpKind::kJump:
+      return ControlKind::kJump;
+    case OpKind::kJumpReg:
+      return ControlKind::kJumpReg;
+    case OpKind::kHalt:
+      return ControlKind::kStop;
+    default:
+      return ControlKind::kSequential;
+  }
+}
+
+// Bytes a load or store of `op` accesses; 0 for every other opcode.
+std::uint8_t mem_access_bytes(Opcode op) {
+  switch (op) {
+    case Opcode::kLw:
+    case Opcode::kSw:
+      return 4;
+    case Opcode::kLh:
+    case Opcode::kLhu:
+    case Opcode::kSh:
+      return 2;
+    case Opcode::kLb:
+    case Opcode::kLbu:
+    case Opcode::kSb:
+      return 1;
+    default:
+      return 0;
+  }
 }
 
 }  // namespace
 
-StepInfo CommittedTrace::step_at(std::size_t i, const Program& program) const {
-  const auto flags = static_cast<std::uint8_t>(flags_[i]);
-  StepInfo info;
-  info.index = index_[i];
-  info.next_index = next_index_[i];
-  info.ins = (flags & kFlagSentinel)
-                 ? make_halt()
-                 : program.text[static_cast<std::size_t>(index_[i])];
-  info.is_mem = (flags & kFlagIsMem) != 0;
-  info.mem_addr = mem_addr_[i];
-  info.mem_size = static_cast<std::uint8_t>(mem_size_[i]);
-  info.branch_taken = (flags & kFlagBranchTaken) != 0;
-  return info;
-}
-
 std::uint64_t CommittedTrace::memory_bytes() const {
-  return index_.capacity() * sizeof(std::int32_t) +
-         next_index_.capacity() * sizeof(std::int32_t) +
+  return taken_.capacity() * sizeof(std::uint64_t) +
          mem_addr_.capacity() * sizeof(std::uint32_t) +
-         mem_size_.capacity() * sizeof(detail::TraceByte) +
-         flags_.capacity() * sizeof(detail::TraceByte);
+         target_.capacity() * sizeof(std::int32_t) +
+         index_.capacity() * sizeof(std::int32_t);
 }
 
-void CommittedTrace::append(const StepInfo& info, bool sentinel) {
-  std::uint8_t flags = 0;
-  if (info.branch_taken) flags |= kFlagBranchTaken;
-  if (info.is_mem) flags |= kFlagIsMem;
-  if (sentinel) flags |= kFlagSentinel;
-  index_.push_back(info.index);
-  next_index_.push_back(info.next_index);
-  mem_addr_.push_back(info.mem_addr);
-  mem_size_.push_back(detail::TraceByte{info.mem_size});
-  flags_.push_back(detail::TraceByte{flags});
+template <typename T>
+TraceWriter::Sink<T> TraceWriter::grow(detail::Column<T>& column,
+                                       Sink<T> sink) {
+  const std::size_t used =
+      column.empty() ? 0 : static_cast<std::size_t>(sink.next - column.data());
+  column.resize(std::max(column.size() * 2, (std::size_t{1} << 16) / sizeof(T)));
+  return {column.data() + used, column.data() + column.size()};
+}
+template TraceWriter::Sink<std::int32_t> TraceWriter::grow(
+    detail::Column<std::int32_t>&, Sink<std::int32_t>);
+template TraceWriter::Sink<std::uint32_t> TraceWriter::grow(
+    detail::Column<std::uint32_t>&, Sink<std::uint32_t>);
+
+void TraceWriter::commit_info(const StepInfo& info, bool sentinel) {
+  const std::int32_t i = info.index;
+  const std::int32_t next = info.next_index;
+  const bool taken = info.branch_taken;
+  const bool mem = info.is_mem;
+  const std::uint32_t addr = info.mem_addr;
+  switch (sentinel ? ControlKind::kStop : control_kind(info.ins.op)) {
+    case ControlKind::kSequential:
+      return commit<ControlKind::kSequential>(i, next, taken, mem, addr);
+    case ControlKind::kConditional:
+      return commit<ControlKind::kConditional>(i, next, taken, mem, addr);
+    case ControlKind::kJump:
+      return commit<ControlKind::kJump>(i, next, taken, mem, addr);
+    case ControlKind::kJumpReg:
+      return commit<ControlKind::kJumpReg>(i, next, taken, mem, addr);
+    case ControlKind::kStop:
+      return commit<ControlKind::kStop>(i, next, taken, mem, addr);
+  }
 }
 
-void CommittedTrace::finalize(std::uint32_t checksum) {
+void TraceWriter::finish(const Program& program, std::uint32_t checksum) {
+  CommittedTrace& t = *trace_;
+  const std::size_t n =
+      t.index_.empty() ? 0 : static_cast<std::size_t>(index_.next - t.index_.data());
+  const std::size_t addrs =
+      t.mem_addr_.empty() ? 0 : static_cast<std::size_t>(addr_.next - t.mem_addr_.data());
+  if (num_bits_ > 0) t.taken_.push_back(bits_);
+  // One element of padding behind the address stream, for the cursor; the
+  // index column's spare slot repeats the last index, which is the last
+  // step's successor (halt and the sentinel are their own).
+  t.mem_addr_.resize(addrs + 1);
+  t.mem_addr_[addrs] = 0;
+  t.mem_addr_.shrink_to_fit();
+  t.taken_.shrink_to_fit();
+  t.target_.shrink_to_fit();
+  t.index_.resize(n + 1);
+  t.index_[n] = n > 0 ? t.index_[n - 1] : 0;
+  t.finalize(program, checksum);
+}
+
+// Regenerates the logical columns from the index column, each row's static
+// bytes and the streams, folding them into the hash in the order the dense
+// format stored them, then frees the index column.
+void CommittedTrace::finalize(const Program& program, std::uint32_t checksum) {
+  const std::size_t n = index_.size() - 1;  // finish() added a spare slot
+  size_ = n;
+  first_ = n > 0 ? index_[0] : 0;
   checksum_ = checksum;
+  program_size_ = program.size();
+  program_hash_ = text_fingerprint(program);
+
+  // Per row: the size column's byte (non-zero when the step draws an
+  // address), the flag column's static bits, and whether the step draws a
+  // taken bit.
+  struct RowBytes {
+    std::uint8_t size;
+    std::uint8_t flags;
+    bool cond;
+  };
+  const std::int32_t rows = program.size();
+  std::vector<RowBytes> row_bytes(static_cast<std::size_t>(rows) + 1);
+  for (std::int32_t i = 0; i <= rows; ++i) {
+    const Opcode op =
+        i < rows ? program.text[static_cast<std::size_t>(i)].op : Opcode::kHalt;
+    const ControlKind kind = control_kind(op);
+    const std::uint8_t size = mem_access_bytes(op);
+    std::uint8_t flags = size != 0 ? kFlagIsMem : 0;
+    if (kind == ControlKind::kJump || kind == ControlKind::kJumpReg) {
+      flags |= kFlagBranchTaken;
+    }
+    if (i == rows) flags |= kFlagSentinel;
+    row_bytes[static_cast<std::size_t>(i)] = {
+        size, flags, kind == ControlKind::kConditional};
+  }
+  const RowBytes* const row = row_bytes.data();
+  const std::int32_t* const index = index_.data();
+
   std::uint64_t h = kFnvOffset;
-  const std::uint64_t n = index_.size();
-  h = fnv(&n, sizeof n, h);
-  h = fnv_vec(index_, h);
-  h = fnv_vec(next_index_, h);
-  h = fnv_vec(mem_addr_, h);
-  h = fnv_vec(mem_size_, h);
-  h = fnv_vec(flags_, h);
+  const std::uint64_t steps = n;
+  h = fnv(&steps, sizeof steps, h);
+  h = fnv(index, n * sizeof(std::int32_t), h);      // index
+  h = fnv(index + 1, n * sizeof(std::int32_t), h);  // next index
+  // Each stream read below is behind a test of the row: the branch follows
+  // the program's control flow, which the host predicts, and it measured
+  // faster than reading the streams unconditionally.
+  {
+    const std::int32_t* i = index;
+    const std::uint32_t* addr = mem_addr_.data();
+    h = fold_column<4>(n, h, [&] {
+      return row[*i++].size != 0 ? *addr++ : std::uint32_t{0};
+    });
+  }
+  {
+    const std::int32_t* i = index;
+    h = fold_column<1>(n, h, [&] { return row[*i++].size; });
+  }
+  {
+    const std::int32_t* i = index;
+    const std::uint64_t* taken = taken_.data();
+    std::size_t bit = 0;
+    h = fold_column<1>(n, h, [&] {
+      const RowBytes& r = row[*i++];
+      std::uint8_t flags = r.flags;
+      if (r.cond) {
+        flags |= (taken[bit / 64] >> (bit % 64)) & kFlagBranchTaken;
+        ++bit;
+      }
+      return flags;
+    });
+  }
   h = fnv(&checksum_, sizeof checksum_, h);
   content_hash_ = h;
+  detail::Column<std::int32_t>().swap(index_);
 }
 
 DecodeTable::DecodeTable(const Program& program) {
@@ -208,7 +373,29 @@ DecodeTable::DecodeTable(const Program& program) {
     row.is_store = is_store(ins.op);
     row.is_ext = ins.op == Opcode::kExt;
     row.sentinel = i == n;
+    row.control = control_kind(ins.op);
+    row.mem_size = mem_access_bytes(ins.op);
+    if (row.control == ControlKind::kConditional ||
+        row.control == ControlKind::kJump) {
+      row.target = ins.imm;
+    }
     rows_.push_back(row);
+  }
+}
+
+DecodedTrace::DecodedTrace(const CommittedTrace& trace, const Program& program)
+    : trace_(&trace), table_(program) {
+  const std::uint64_t text = text_fingerprint(program);
+  if (text != trace.program_hash_) {
+    char msg[192];
+    std::snprintf(msg, sizeof msg,
+                  "replay: the trace was recorded from another program "
+                  "(%d instructions, text fingerprint %016llx), not this one "
+                  "(%d instructions, text fingerprint %016llx)",
+                  trace.program_size_,
+                  static_cast<unsigned long long>(trace.program_hash_),
+                  program.size(), static_cast<unsigned long long>(text));
+    throw SimError(msg);
   }
 }
 
@@ -221,14 +408,15 @@ CommittedTrace record_trace(const Program& program,
   }
   Executor exec(program, ext_table, ExecMode::kReference);
   CommittedTrace trace;
+  TraceWriter writer(trace);
   while (!exec.halted()) {
     if (exec.steps_executed() >= max_steps) {
       throw SimError("record_trace: program did not halt within step bound");
     }
     const StepInfo info = exec.step();
-    trace.append(info, /*sentinel=*/info.index >= program.size());
+    writer.commit_info(info, /*sentinel=*/info.index >= program.size());
   }
-  trace.finalize(exec.reg(kRegV0));
+  writer.finish(program, exec.reg(kRegV0));
   return trace;
 }
 

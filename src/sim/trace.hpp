@@ -10,15 +10,29 @@
 // a grid sweep over N machine configurations pays functional execution
 // once instead of N times.
 //
-// The recording keeps only the timing-visible projection of `StepInfo`
-// (instruction index, successor index, memory address/size, branch
-// outcome) in structure-of-arrays form, 14 bytes per committed step. The
-// architectural values (operand and result registers) are deliberately
-// not captured: the pipeline never reads them, and dropping them keeps
-// long traces compact. Instructions are rebuilt from the program text on
-// replay, so a trace is only meaningful next to the exact program it was
-// recorded from — `content_hash()` fingerprints the stream so callers can
-// key caches on it.
+// Most of what the pipeline observes is static per instruction: whether a
+// step touches memory and how wide, and where control goes next unless a
+// branch decides. So the recording keeps only the three dynamic facts, as
+// sparse streams next to the step count and the entry index:
+//
+//  * one taken bit per conditional-branch step, 64 to a word;
+//  * one address per load or store step;
+//  * one target per register-jump (`jr`/`jalr`) step;
+//
+// about 0.6 bytes per committed step on the bundled workloads. Replay
+// rebuilds every step from its DecodeTable row (the row's ControlKind says
+// which stream, if any, the step draws from), so a trace is only
+// meaningful next to the exact program it was recorded from: it keeps a
+// fingerprint of that program's text, and DecodedTrace refuses any other.
+// The architectural values (operand and result registers) are not
+// captured at all: the pipeline never reads them.
+//
+// `content_hash()` fingerprints the logical step stream — the step count,
+// then the index, successor-index, address, access-size and flag of every
+// step as five dense columns, then the checksum — so callers can key caches
+// on it. Those columns are not stored: finalize() regenerates them from a
+// transient index column kept only while recording, folding each word into
+// the hash as it is generated, and then frees that column.
 #pragma once
 
 #include <cstdint>
@@ -86,72 +100,122 @@ struct NoInitAllocator {
 template <typename T>
 using Column = std::vector<T, NoInitAllocator<T>>;
 
-// Byte-sized column element that is deliberately NOT a character type:
-// stores through a `TraceByte*` cannot alias unrelated objects the way
-// `std::uint8_t*` (unsigned char) stores can, so the recorder's per-step
-// byte-column writes don't force the optimizer to spill and reload its
-// cursor state around every committed step.
-enum class TraceByte : std::uint8_t {};
-
 }  // namespace detail
 
 // Bump when the recorded projection of StepInfo changes; part of the
 // result-cache identity (see harness/cache.hpp) so stale memoized results
-// can never be replayed against a new format.
+// can never be replayed against a new format. A change to how the
+// projection is stored that keeps content_hash() over the same logical
+// columns does not bump it.
 inline constexpr int kTraceFormatVersion = 1;
+
+// How a committed step's successor index follows from its instruction.
+enum class ControlKind : std::uint8_t {
+  kSequential,   // index + 1
+  kConditional,  // the static target when taken (one recorded bit), else
+                 // index + 1
+  kJump,         // the static target (j, jal)
+  kJumpReg,      // a recorded target (jr, jalr)
+  kStop,         // itself: halt, and the off-the-end sentinel
+};
 
 class CommittedTrace {
  public:
-  // Per-step flag bits packed into flags_.
-  static constexpr std::uint8_t kFlagBranchTaken = 1u << 0;
-  static constexpr std::uint8_t kFlagIsMem = 1u << 1;
-  // The off-the-end halt sentinel: a step whose index is one past the text
-  // segment (a `jr $ra` out of the entry function). It carries a synthetic
-  // halt instruction that is not present in the program text.
-  static constexpr std::uint8_t kFlagSentinel = 1u << 2;
-
-  std::size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
-
-  // Instruction index of step `i` (the executor's pc before the step).
-  std::int32_t index_at(std::size_t i) const { return index_[i]; }
-
-  // Rebuilds the timing-visible StepInfo for step `i`. `program` must be
-  // the program the trace was recorded from; the architectural value
-  // fields (src_vals/result) are left zero, see the file comment.
-  StepInfo step_at(std::size_t i, const Program& program) const;
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   // Final $v0 of the functional run — the workload checksum.
   std::uint32_t checksum() const { return checksum_; }
 
-  // FNV-1a fingerprint of the whole stream (arrays, length, checksum).
+  // FNV-1a fingerprint of the logical step stream (see the file comment).
   std::uint64_t content_hash() const { return content_hash_; }
 
-  // Heap footprint of the SoA arrays, for observability.
+  // Heap footprint of the streams, for observability.
   std::uint64_t memory_bytes() const;
 
  private:
-  friend CommittedTrace record_trace(const Program& program,
-                                     const ExtInstTable* ext_table,
-                                     std::uint64_t max_steps, ExecMode mode);
-  friend CommittedTrace record_trace(const UopProgram& ucode,
-                                     std::uint64_t max_steps);
-  // The threaded interpreter's record policy appends SoA rows directly,
-  // skipping StepInfo materialization (sim/ucode.cpp).
-  friend struct UcodeImpl;
-  // Replay reads the columns directly, also without a StepInfo.
+  friend class TraceWriter;
+  friend class DecodedTrace;
   friend class TraceCursor;
 
-  void append(const StepInfo& info, bool sentinel);
-  void finalize(std::uint32_t checksum);
+  void finalize(const Program& program, std::uint32_t checksum);
 
-  detail::Column<std::int32_t> index_;
-  detail::Column<std::int32_t> next_index_;
+  std::size_t size_ = 0;
+  std::int32_t first_ = 0;  // index of the first step (the entry pc)
+  // The streams. mem_addr_ carries one element of padding past its data,
+  // so the cursor loads the next address without a test.
+  detail::Column<std::uint64_t> taken_;
   detail::Column<std::uint32_t> mem_addr_;
-  detail::Column<detail::TraceByte> mem_size_;
-  detail::Column<detail::TraceByte> flags_;
+  detail::Column<std::int32_t> target_;
+  // Every step's index, only between recording and finalize().
+  detail::Column<std::int32_t> index_;
+  // The program the trace was recorded from: its length and a
+  // fingerprint of its text.
+  std::int32_t program_size_ = 0;
+  std::uint64_t program_hash_ = 0;
   std::uint32_t checksum_ = 0;
   std::uint64_t content_hash_ = 0;
+};
+
+// Appends committed steps to a trace; both interpreters record through it.
+// A value type holding raw stream pointers: the threaded interpreter keeps
+// one in a local whose address never escapes (sim/ucode.cpp), so its fields
+// stay in registers across steps. Growth goes through the trace's columns.
+class TraceWriter {
+ public:
+  explicit TraceWriter(CommittedTrace& trace) : trace_(&trace) {}
+
+  // One step at `index`, whose instruction has control kind `K`; `next`
+  // is its successor, `taken` its branch outcome, `addr` its address when
+  // `is_mem`. Each handler of the threaded interpreter passes a constant
+  // `K` and `is_mem`, so only the stream pushes it needs survive inlining.
+  template <ControlKind K>
+  void commit(std::int32_t index, std::int32_t next, bool taken, bool is_mem,
+              std::uint32_t addr) {
+    if (index_.next == index_.end) [[unlikely]] {
+      index_ = grow(trace_->index_, index_);
+    }
+    *index_.next++ = index;
+    if (is_mem) {
+      if (addr_.next == addr_.end) [[unlikely]] {
+        addr_ = grow(trace_->mem_addr_, addr_);
+      }
+      *addr_.next++ = addr;
+    }
+    if constexpr (K == ControlKind::kConditional) {
+      bits_ |= std::uint64_t{taken} << num_bits_;
+      if (++num_bits_ == 64) [[unlikely]] {
+        trace_->taken_.push_back(bits_);
+        bits_ = 0;
+        num_bits_ = 0;
+      }
+    } else if constexpr (K == ControlKind::kJumpReg) {
+      trace_->target_.push_back(next);
+    }
+  }
+
+  // A step the reference interpreter executed, classified by its opcode.
+  void commit_info(const StepInfo& info, bool sentinel);
+
+  // Trims and pads the streams, then seals the trace: its checksum, its
+  // program's text fingerprint and its content hash. `program` must be the
+  // program the steps were recorded from.
+  void finish(const Program& program, std::uint32_t checksum);
+
+ private:
+  template <typename T>
+  struct Sink {
+    T* next = nullptr;
+    T* end = nullptr;
+  };
+  template <typename T>
+  static Sink<T> grow(detail::Column<T>& column, Sink<T> sink);
+
+  CommittedTrace* trace_;
+  Sink<std::int32_t> index_;
+  Sink<std::uint32_t> addr_;
+  std::uint64_t bits_ = 0;  // taken bits not yet pushed, oldest lowest
+  unsigned num_bits_ = 0;
 };
 
 // Runs `program` to completion on a fresh Executor and records the
@@ -159,7 +223,7 @@ class CommittedTrace {
 // `max_steps` (mirroring the harness's functional-run bound). The default
 // kUcode mode pre-decodes and records through the threaded interpreter's
 // no-StepInfo fast path; kReference records through the original
-// interpreter (the differential suite pins the two byte-identical).
+// interpreter. Both append through TraceWriter.
 CommittedTrace record_trace(const Program& program,
                             const ExtInstTable* ext_table,
                             std::uint64_t max_steps,
@@ -172,11 +236,12 @@ CommittedTrace record_trace(const UopProgram& ucode, std::uint64_t max_steps);
 // --- the static decode table ---
 //
 // Everything the timing pipeline's decode stage derives from a committed
-// step is a pure function of the step's instruction index except five
-// dynamic facts (index, next_index, mem_addr, mem_size, branch outcome).
-// So the static part is decoded once per program into a table with one row
-// per instruction, and every replayed step is a slim record pointing at
-// its row — the timing-side counterpart of the UopProgram (sim/ucode.hpp).
+// step is a pure function of the step's instruction index except the
+// dynamic facts the trace records (branch outcome, address, register-jump
+// target). So the static part is decoded once per program into a table
+// with one row per instruction, and every replayed step is a slim record
+// pointing at its row — the timing-side counterpart of the UopProgram
+// (sim/ucode.hpp).
 struct DecodeRow {
   std::uint32_t pc = 0;         // byte address of the instruction (I-cache key)
   std::int32_t index = 0;       // instruction index (predictor key, trace pc)
@@ -190,6 +255,10 @@ struct DecodeRow {
   bool is_store = false;        // participates in store->load ordering
   bool is_ext = false;          // requests a PFU configuration at decode
   bool sentinel = false;        // the off-the-end halt row, never fetched
+  ControlKind control = ControlKind::kSequential;
+  std::uint8_t mem_size = 0;    // bytes accessed; 0 = not a memory step
+  // Successor of a taken conditional branch, or of a j/jal; 0 otherwise.
+  std::int32_t target = 0;
 };
 
 // Rows 0 .. program.size()-1 decode the program text; the extra row at
@@ -224,16 +293,17 @@ struct DecodedStep {
 };
 
 // A committed trace next to its program's decode table: what every replay,
-// single or batched, steps through. `trace` must outlive it.
+// single or batched, steps through. `trace` must outlive it. Throws
+// SimError when `program` is not the program the trace was recorded from:
+// its rows would send the cursor through the wrong successors and streams.
 class DecodedTrace {
  public:
-  DecodedTrace(const CommittedTrace& trace, const Program& program)
-      : trace_(&trace), table_(program) {}
+  DecodedTrace(const CommittedTrace& trace, const Program& program);
 
   const CommittedTrace& trace() const { return *trace_; }
   const DecodeTable& table() const { return table_; }
 
-  // Heap footprint of the decode table (the trace's own columns are
+  // Heap footprint of the decode table (the trace's own streams are
   // CommittedTrace::memory_bytes()).
   std::uint64_t memory_bytes() const { return table_.memory_bytes(); }
 
@@ -245,31 +315,74 @@ class DecodedTrace {
 // Presents a decoded trace through the step-source interface the timing
 // pipeline consumes (see uarch/timing.cpp): halted / next_pc / step. Any
 // number of cursors may walk one DecodedTrace; it must outlive them.
+//
+// Each step's successor is index + 1 unless its row's control kind says
+// otherwise. The kind is tested with a branch: it is fixed per instruction,
+// so the host predicts it, and the index chain need not wait for the row.
 class TraceCursor {
  public:
   explicit TraceCursor(const DecodedTrace& decoded)
-      : trace_(&decoded.trace()),
-        table_(&decoded.table()),
+      : rows_(&decoded.table().row(0)),
+        taken_(decoded.trace().taken_.data()),
+        addr_(decoded.trace().mem_addr_.data()),
+        target_(decoded.trace().target_.data()),
+        index_(decoded.trace().first_),
         end_(decoded.trace().size()) {}
 
   bool halted() const { return pos_ >= end_; }
-  std::uint32_t next_pc() const {
-    return table_->row(trace_->index_[pos_]).pc;
-  }
+  std::uint32_t next_pc() const { return rows_[index_].pc; }
   DecodedStep step() {
-    const std::size_t i = pos_++;
-    return {.row = &table_->row(trace_->index_[i]),
-            .next_index = trace_->next_index_[i],
-            .mem_addr = trace_->mem_addr_[i],
-            .mem_size = static_cast<std::uint8_t>(trace_->mem_size_[i]),
-            .taken = (static_cast<std::uint8_t>(trace_->flags_[i]) &
-                      CommittedTrace::kFlagBranchTaken) != 0};
+    const DecodeRow* row = rows_ + index_;
+    ++pos_;
+    std::int32_t next = index_ + 1;
+    bool taken = false;
+    if (row->control != ControlKind::kSequential) [[unlikely]] {
+      switch (row->control) {
+        case ControlKind::kConditional:
+          if (mask_ == 0) {
+            bits_ = *taken_++;
+            mask_ = 1;
+          }
+          taken = (bits_ & mask_) != 0;
+          mask_ <<= 1;
+          if (taken) next = row->target;
+          break;
+        case ControlKind::kJump:
+          taken = true;
+          next = row->target;
+          break;
+        case ControlKind::kJumpReg:
+          taken = true;
+          next = *target_++;
+          break;
+        case ControlKind::kStop:
+          next = index_;
+          break;
+        case ControlKind::kSequential:
+          break;
+      }
+    }
+    // The address stream is padded, so the load needs no test.
+    const std::uint8_t size = row->mem_size;
+    const std::uint32_t addr = *addr_;
+    addr_ += size != 0;
+    index_ = next;
+    return {.row = row,
+            .next_index = next,
+            .mem_addr = size != 0 ? addr : 0,
+            .mem_size = size,
+            .taken = taken};
   }
 
  private:
-  const CommittedTrace* trace_;
-  const DecodeTable* table_;
-  std::size_t end_;  // trace size, read once per fetched instruction
+  const DecodeRow* rows_;
+  const std::uint64_t* taken_;
+  const std::uint32_t* addr_;
+  const std::int32_t* target_;
+  std::uint64_t bits_ = 0;  // the current word of taken bits
+  std::uint64_t mask_ = 0;  // its next bit; 0 = load the next word
+  std::int32_t index_;      // the next step's instruction index
+  std::size_t end_;         // trace size, read once per fetched instruction
   std::size_t pos_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cfg/cfg.hpp"
@@ -190,11 +191,11 @@ std::string disassemble(const UopProgram& ucode) {
 //     the loop (run bound reached, single step done); the record and
 //     profile variants throw SimError on a blown step bound instead,
 //     matching the reference loops.
-//   void commit(...)                 — after each committed step, with the
-//     full observable projection; each policy keeps what it needs (record
-//     appends the SoA row, profile folds counts and widths, run counts,
-//     step materializes a StepInfo) and inlining dead-code-eliminates the
-//     rest.
+//   void commit(kind, ...)           — after each committed step, with its
+//     control kind and the full observable projection; each policy keeps
+//     what it needs (record appends to the trace's streams, profile folds
+//     counts and widths, run counts, step materializes a StepInfo) and
+//     inlining dead-code-eliminates the rest.
 //
 // Executor state lives in locals (pc, steps) for the duration; a thrown
 // SimError/MemError writes them back before propagating, which leaves the
@@ -211,6 +212,21 @@ std::string disassemble(const UopProgram& ucode) {
 // of execute() whose address never escapes is provably unaliased, and the
 // optimizer keeps its fields in registers across steps.
 
+namespace {
+
+// Each handler passes its instruction's control kind to commit() as a
+// compile-time argument, so the record policy pushes a taken bit, an
+// address or a target with no per-step lookup.
+template <ControlKind K>
+using Kind = std::integral_constant<ControlKind, K>;
+constexpr Kind<ControlKind::kSequential> kSeq{};
+constexpr Kind<ControlKind::kConditional> kCond{};
+constexpr Kind<ControlKind::kJump> kJump{};
+constexpr Kind<ControlKind::kJumpReg> kJumpReg{};
+constexpr Kind<ControlKind::kStop> kStop{};
+
+}  // namespace
+
 struct UcodeImpl {
   struct RunPolicy {
     std::uint64_t max_steps;
@@ -220,7 +236,8 @@ struct UcodeImpl {
       std::uint64_t max_steps;
       std::uint64_t n;
       bool begin(std::uint64_t) const { return n < max_steps; }
-      void commit(std::int32_t, std::int32_t, std::uint32_t, std::uint32_t,
+      template <typename K>
+      void commit(K, std::int32_t, std::int32_t, std::uint32_t, std::uint32_t,
                   int, bool, std::uint32_t, bool, std::uint32_t, std::uint8_t,
                   bool, bool) {
         ++n;
@@ -231,47 +248,15 @@ struct UcodeImpl {
     void sync(const Cursor& c) { n = c.n; }
   };
 
-  // Appends SoA rows through raw pointers behind a single shared capacity
-  // check: the five arrays always have equal length, so one compare per
-  // committed step replaces five push_back capacity checks. Rows land
-  // directly in the trace's own columns — the NoInitAllocator behind
-  // detail::Column makes the over-resize free (no zero-fill of storage the
-  // recorder overwrites), and finish() trims to the exact count in place.
+  // Appends each step through a TraceWriter held in the cursor, so its
+  // stream pointers stay in registers.
   struct RecordPolicy {
-    CommittedTrace& trace;
+    TraceWriter writer;
     std::uint64_t max_steps;
-    std::size_t count = 0;
-    std::size_t cap = 0;
-    std::int32_t* index = nullptr;
-    std::int32_t* next_index = nullptr;
-    std::uint32_t* mem_addr = nullptr;
-    detail::TraceByte* mem_size = nullptr;
-    detail::TraceByte* flags = nullptr;
-
-    void grow() {
-      cap = cap == 0 ? (std::size_t{1} << 16) : cap * 2;
-      trace.index_.resize(cap);
-      trace.next_index_.resize(cap);
-      trace.mem_addr_.resize(cap);
-      trace.mem_size_.resize(cap);
-      trace.flags_.resize(cap);
-      index = trace.index_.data();
-      next_index = trace.next_index_.data();
-      mem_addr = trace.mem_addr_.data();
-      mem_size = trace.mem_size_.data();
-      flags = trace.flags_.data();
-    }
 
     struct Cursor {
-      RecordPolicy* owner;
+      TraceWriter writer;
       std::uint64_t max_steps;
-      std::size_t count;
-      std::size_t cap;
-      std::int32_t* index;
-      std::int32_t* next_index;
-      std::uint32_t* mem_addr;
-      detail::TraceByte* mem_size;
-      detail::TraceByte* flags;
 
       bool begin(std::uint64_t steps) const {
         if (steps >= max_steps) {
@@ -280,60 +265,18 @@ struct UcodeImpl {
         }
         return true;
       }
-      void commit(std::int32_t idx, std::int32_t next, std::uint32_t,
+      template <ControlKind K>
+      void commit(Kind<K>, std::int32_t idx, std::int32_t next, std::uint32_t,
                   std::uint32_t, int, bool, std::uint32_t, bool is_mem,
-                  std::uint32_t addr, std::uint8_t msize, bool taken,
-                  bool sentinel) {
-        const std::size_t i = count;
-        if (i == cap) [[unlikely]] {
-          owner->grow();
-          cap = owner->cap;
-          index = owner->index;
-          next_index = owner->next_index;
-          mem_addr = owner->mem_addr;
-          mem_size = owner->mem_size;
-          flags = owner->flags;
-        }
-        std::uint8_t f = 0;
-        if (taken) f |= CommittedTrace::kFlagBranchTaken;
-        if (is_mem) f |= CommittedTrace::kFlagIsMem;
-        if (sentinel) f |= CommittedTrace::kFlagSentinel;
-        index[i] = idx;
-        next_index[i] = next;
-        mem_addr[i] = addr;
-        mem_size[i] = detail::TraceByte{msize};
-        flags[i] = detail::TraceByte{f};
-        count = i + 1;
+                  std::uint32_t addr, std::uint8_t, bool taken, bool) {
+        writer.commit<K>(idx, next, taken, is_mem, addr);
       }
       void commit_info(const StepInfo& info, bool sentinel) {
-        commit(info.index, info.next_index, 0, 0, 0, false, 0, info.is_mem,
-               info.mem_addr, info.mem_size, info.branch_taken, sentinel);
+        writer.commit_info(info, sentinel);
       }
     };
-    Cursor cursor() {
-      return {this,      max_steps, count,    cap,  index,
-              next_index, mem_addr, mem_size, flags};
-    }
-    void sync(const Cursor& c) { count = c.count; }
-
-    void finish() const {
-      trace.index_.resize(count);
-      trace.next_index_.resize(count);
-      trace.mem_addr_.resize(count);
-      trace.mem_size_.resize(count);
-      trace.flags_.resize(count);
-      // A short trace recorded through the growth schedule would otherwise
-      // pin cap-sized columns for its whole (possibly cached) lifetime;
-      // copying at most cap/2 elements bounds the shrink cost by the
-      // recording cost already paid.
-      if (count < cap / 2) {
-        trace.index_.shrink_to_fit();
-        trace.next_index_.shrink_to_fit();
-        trace.mem_addr_.shrink_to_fit();
-        trace.mem_size_.shrink_to_fit();
-        trace.flags_.shrink_to_fit();
-      }
-    }
+    Cursor cursor() { return {writer, max_steps}; }
+    void sync(const Cursor& c) { writer = c.writer; }
   };
 
   // Folds each committed step into a Profile (sim/profiler.hpp): the
@@ -375,7 +318,8 @@ struct UcodeImpl {
       static void widen_src(InstProfile& ip, std::uint32_t v) {
         ip.max_src_width = std::max(ip.max_src_width, signed_width(v));
       }
-      void commit(std::int32_t idx, std::int32_t, std::uint32_t a,
+      template <typename K>
+      void commit(K, std::int32_t idx, std::int32_t, std::uint32_t a,
                   std::uint32_t b, int nsrc, bool has_result,
                   std::uint32_t result, bool, std::uint32_t, std::uint8_t,
                   bool, bool sentinel) {
@@ -413,7 +357,8 @@ struct UcodeImpl {
     struct Cursor {
       StepPolicy* owner;
       bool begin(std::uint64_t) const { return !owner->done; }
-      void commit(std::int32_t idx, std::int32_t next, std::uint32_t a,
+      template <typename K>
+      void commit(K, std::int32_t idx, std::int32_t next, std::uint32_t a,
                   std::uint32_t b, int nsrc, bool has_result,
                   std::uint32_t result, bool is_mem, std::uint32_t addr,
                   std::uint8_t msize, bool taken, bool sentinel) {
@@ -535,8 +480,8 @@ struct UcodeImpl {
     regs[0] = 0;                                                      \
     const std::int32_t idx = pc++;                                    \
     ++steps;                                                          \
-    cur.commit(idx, pc, a, b, 2, true, v, false, 0, 0, false,      \
-                  false);                                             \
+    cur.commit(kSeq, idx, pc, a, b, 2, true, v, false, 0, 0, false,   \
+               false);                                                \
   }                                                                   \
   T1000_NEXT()
 
@@ -570,8 +515,8 @@ struct UcodeImpl {
     regs[0] = 0;                                                      \
     const std::int32_t idx = pc++;                                    \
     ++steps;                                                          \
-    cur.commit(idx, pc, a, 0, 1, true, v, false, 0, 0, false,      \
-                  false);                                             \
+    cur.commit(kSeq, idx, pc, a, 0, 1, true, v, false, 0, 0, false,   \
+               false);                                                \
   }                                                                   \
   T1000_NEXT()
 
@@ -596,8 +541,8 @@ struct UcodeImpl {
             regs[0] = 0;
             const std::int32_t idx = pc++;
             ++steps;
-            cur.commit(idx, pc, 0, 0, 0, true, v, false, 0, 0, false,
-                          false);
+            cur.commit(kSeq, idx, pc, 0, 0, 0, true, v, false, 0, 0, false,
+                       false);
           }
           T1000_NEXT();
 
@@ -621,8 +566,8 @@ struct UcodeImpl {
     regs[0] = 0;                                                          \
     const std::int32_t idx = pc++;                                        \
     ++steps;                                                              \
-    cur.commit(idx, pc, a, 0, 1, true, v, true, addr, (bytes), false,  \
-                  false);                                                 \
+    cur.commit(kSeq, idx, pc, a, 0, 1, true, v, true, addr, (bytes),     \
+               false, false);                                             \
   }                                                                       \
   T1000_NEXT()
 
@@ -659,8 +604,8 @@ struct UcodeImpl {
     write_stmt;                                                           \
     const std::int32_t idx = pc++;                                        \
     ++steps;                                                              \
-    cur.commit(idx, pc, a, b, 2, false, 0, true, addr, (bytes), false, \
-                  false);                                                 \
+    cur.commit(kSeq, idx, pc, a, b, 2, false, 0, true, addr, (bytes),   \
+               false, false);                                             \
   }                                                                       \
   T1000_NEXT()
 
@@ -690,8 +635,8 @@ struct UcodeImpl {
     const std::int32_t idx = pc;                                         \
     pc = taken ? u->target : pc + 1;                                     \
     ++steps;                                                             \
-    cur.commit(idx, pc, a, b, 2, false, 0, false, 0, 0, taken,        \
-                  false);                                                \
+    cur.commit(kCond, idx, pc, a, b, 2, false, 0, false, 0, 0, taken,    \
+               false);                                                   \
   }                                                                      \
   T1000_NEXT()
 
@@ -708,8 +653,8 @@ struct UcodeImpl {
     const std::int32_t idx = pc;                                         \
     pc = taken ? u->target : pc + 1;                                     \
     ++steps;                                                             \
-    cur.commit(idx, pc, a, 0, 1, false, 0, false, 0, 0, taken,        \
-                  false);                                                \
+    cur.commit(kCond, idx, pc, a, 0, 1, false, 0, false, 0, 0, taken,    \
+               false);                                                   \
   }                                                                      \
   T1000_NEXT()
 
@@ -723,8 +668,8 @@ struct UcodeImpl {
             const std::int32_t idx = pc;
             pc = u->target;
             ++steps;
-            cur.commit(idx, pc, 0, 0, 0, false, 0, false, 0, 0, true,
-                          false);
+            cur.commit(kJump, idx, pc, 0, 0, 0, false, 0, false, 0, 0, true,
+                       false);
           }
           T1000_NEXT();
 
@@ -735,8 +680,8 @@ struct UcodeImpl {
             const std::int32_t idx = pc;
             pc = u->target;
             ++steps;
-            cur.commit(idx, pc, 0, 0, 0, true, link, false, 0, 0, true,
-                          false);
+            cur.commit(kJump, idx, pc, 0, 0, 0, true, link, false, 0, 0, true,
+                       false);
           }
           T1000_NEXT();
 
@@ -753,8 +698,8 @@ struct UcodeImpl {
             const std::int32_t idx = pc;
             pc = next;
             ++steps;
-            cur.commit(idx, pc, t, 0, 1, false, 0, false, 0, 0, true,
-                          false);
+            cur.commit(kJumpReg, idx, pc, t, 0, 1, false, 0, false, 0, 0, true,
+                       false);
           }
           T1000_NEXT();
 
@@ -778,24 +723,24 @@ struct UcodeImpl {
             const std::int32_t idx = pc;
             pc = next;
             ++steps;
-            cur.commit(idx, pc, t, 0, 1, true, link, false, 0, 0, true,
-                          false);
+            cur.commit(kJumpReg, idx, pc, t, 0, 1, true, link, false, 0, 0,
+                       true, false);
           }
           T1000_NEXT();
 
           T1000_OP(Nop) {
             const std::int32_t idx = pc++;
             ++steps;
-            cur.commit(idx, pc, 0, 0, 0, false, 0, false, 0, 0, false,
-                          false);
+            cur.commit(kSeq, idx, pc, 0, 0, 0, false, 0, false, 0, 0, false,
+                       false);
           }
           T1000_NEXT();
 
           T1000_OP(Halt) {
             ex.halted_ = true;
             ++steps;
-            cur.commit(pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
-                          false);
+            cur.commit(kStop, pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
+                       false);
             goto loop_done;
           }
 
@@ -808,8 +753,8 @@ struct UcodeImpl {
             regs[0] = 0;
             const std::int32_t idx = pc++;
             ++steps;
-            cur.commit(idx, pc, a, b, 2, true, v, false, 0, 0, false,
-                          false);
+            cur.commit(kSeq, idx, pc, a, b, 2, true, v, false, 0, 0, false,
+                       false);
           }
           T1000_NEXT();
 
@@ -817,8 +762,8 @@ struct UcodeImpl {
             // Clean off-the-end halt: reported but not counted as an
             // executed step, exactly like the reference interpreter.
             ex.halted_ = true;
-            cur.commit(pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
-                          true);
+            cur.commit(kStop, pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
+                       true);
             goto loop_done;
           }
 
@@ -871,9 +816,9 @@ std::uint64_t Executor::run_ucode(std::uint64_t max_steps) {
 }
 
 void Executor::record_ucode(CommittedTrace& trace, std::uint64_t max_steps) {
-  UcodeImpl::RecordPolicy policy{trace, max_steps};
+  UcodeImpl::RecordPolicy policy{TraceWriter(trace), max_steps};
   if (!halted_) UcodeImpl::execute(*this, *ucode_, policy);
-  policy.finish();
+  policy.writer.finish(program_, regs_[kRegV0]);
 }
 
 void Executor::profile_ucode(Profile& prof, std::uint64_t max_steps) {
@@ -892,7 +837,6 @@ CommittedTrace record_trace(const UopProgram& ucode,
   Executor exec(ucode);
   CommittedTrace trace;
   exec.record_ucode(trace, max_steps);
-  trace.finalize(exec.reg(kRegV0));
   return trace;
 }
 

@@ -1,7 +1,8 @@
 // The static decode table (sim/trace.hpp, DecodeTable) that every timing
 // path reads instead of decoding each replayed step: its rows must hold
 // exactly what decoding each instruction derives, on every bundled program
-// as the selectors rewrite it.
+// as the selectors rewrite it — including the control kind, static target
+// and access width replay rebuilds each step's successor and address from.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,10 +62,34 @@ TEST(Trace, DecodeTableMatchesInstructionDecode) {
         EXPECT_EQ(row.is_store, is_store(ins.op)) << at;
         EXPECT_EQ(row.is_ext, ins.op == Opcode::kExt) << at;
         if (row.is_ext) ++ext_rows;
+        // The successor rule and access width replay derives from the row.
+        const OpKind kind = op_kind(ins.op);
+        ControlKind control = ControlKind::kSequential;
+        if (kind == OpKind::kBranch1 || kind == OpKind::kBranch2) {
+          control = ControlKind::kConditional;
+        } else if (kind == OpKind::kJump) {
+          control = ControlKind::kJump;
+        } else if (kind == OpKind::kJumpReg) {
+          control = ControlKind::kJumpReg;
+        } else if (kind == OpKind::kHalt) {
+          control = ControlKind::kStop;
+        }
+        EXPECT_EQ(row.control, control) << at;
+        const bool static_target = control == ControlKind::kConditional ||
+                                   control == ControlKind::kJump;
+        EXPECT_EQ(row.target, static_target ? ins.imm : 0) << at;
+        std::uint8_t width = 0;
+        if (kind == OpKind::kLoad || kind == OpKind::kStore) {
+          // The width letter of the mnemonic: lw/sw, lh/lhu/sh, lb/lbu/sb.
+          const char w = mnemonic(ins.op)[1];
+          width = w == 'w' ? 4 : w == 'h' ? 2 : 1;
+        }
+        EXPECT_EQ(row.mem_size, width) << at;
       }
       const DecodeRow& sentinel = table.row(p.size());
       EXPECT_EQ(sentinel.op, Opcode::kHalt) << w.name;
       EXPECT_FALSE(sentinel.is_ctrl) << w.name;
+      EXPECT_EQ(sentinel.control, ControlKind::kStop) << w.name;
     }
   }
   EXPECT_GT(ext_rows, 0);

@@ -6,6 +6,8 @@
 
 #include "asmkit/assembler.hpp"
 #include "sim/executor.hpp"
+#include "support/trace_lockstep.hpp"
+#include "workloads/workload.hpp"
 
 namespace t1000 {
 namespace {
@@ -26,42 +28,12 @@ Program loop_program() {
 }
 
 TEST(Trace, RecordsExactCommittedStream) {
+  // Replay the recording next to a live reference interpreter and compare
+  // every timing-visible field step by step, in both recording modes.
   const Program p = loop_program();
-  const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
-
-  // Replay the same program on a fresh executor and compare every
-  // timing-visible StepInfo field step by step.
-  Executor exec(p);
-  std::size_t i = 0;
-  while (!exec.halted()) {
-    const StepInfo want = exec.step();
-    ASSERT_LT(i, trace.size());
-    const StepInfo got = trace.step_at(i, p);
-    EXPECT_EQ(got.index, want.index) << "step " << i;
-    EXPECT_EQ(got.next_index, want.next_index) << "step " << i;
-    EXPECT_EQ(got.ins.op, want.ins.op) << "step " << i;
-    EXPECT_EQ(got.is_mem, want.is_mem) << "step " << i;
-    EXPECT_EQ(got.mem_addr, want.mem_addr) << "step " << i;
-    EXPECT_EQ(got.mem_size, want.mem_size) << "step " << i;
-    EXPECT_EQ(got.branch_taken, want.branch_taken) << "step " << i;
-    ++i;
-  }
-  EXPECT_EQ(i, trace.size());
-  EXPECT_EQ(trace.checksum(), exec.reg(kRegV0));
-}
-
-TEST(Trace, DropsArchitecturalValues) {
-  // The SoA projection keeps only what the pipeline reads; operand and
-  // result values must come back zeroed (see the trace.hpp file comment).
-  const Program p = loop_program();
-  const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const StepInfo info = trace.step_at(i, p);
-    EXPECT_FALSE(info.has_result);
-    EXPECT_EQ(info.result, 0u);
-    EXPECT_EQ(info.num_src, 0);
-    EXPECT_EQ(info.src_vals[0], 0u);
-    EXPECT_EQ(info.src_vals[1], 0u);
+  for (const ExecMode mode : {ExecMode::kUcode, ExecMode::kReference}) {
+    const CommittedTrace trace = record_trace(p, nullptr, 1u << 20, mode);
+    fuzz::expect_cursor_matches_reference(p, nullptr, trace, "loop");
   }
 }
 
@@ -75,13 +47,19 @@ TEST(Trace, SentinelStepIsLastAndSynthetic) {
   )");
   const CommittedTrace trace = record_trace(p, nullptr, 1000);
   ASSERT_GE(trace.size(), 1u);
-  const std::size_t last = trace.size() - 1;
-  EXPECT_GE(trace.index_at(last), static_cast<std::int32_t>(p.size()));
-  const StepInfo info = trace.step_at(last, p);
-  EXPECT_EQ(info.ins.op, Opcode::kHalt);
+  const DecodedTrace decoded(trace, p);
+  TraceCursor cursor(decoded);
+  std::vector<DecodedStep> steps;
+  while (!cursor.halted()) steps.push_back(cursor.step());
+  ASSERT_EQ(steps.size(), trace.size());
+  const DecodeRow& last = *steps.back().row;
+  EXPECT_EQ(last.index, p.size());
+  EXPECT_TRUE(last.sentinel);
+  EXPECT_EQ(last.op, Opcode::kHalt);
   // No earlier step may be off the end.
-  for (std::size_t i = 0; i < last; ++i) {
-    EXPECT_LT(trace.index_at(i), static_cast<std::int32_t>(p.size()));
+  for (std::size_t i = 0; i + 1 < steps.size(); ++i) {
+    EXPECT_LT(steps[i].row->index, p.size());
+    EXPECT_FALSE(steps[i].row->sentinel);
   }
 }
 
@@ -110,9 +88,11 @@ TEST(Trace, CursorWalksWholeTraceOnce) {
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
   const DecodedTrace decoded(trace, p);
   TraceCursor cursor(decoded);
+  Executor exec(p);
   std::size_t steps = 0;
   while (!cursor.halted()) {
-    const StepInfo want = trace.step_at(steps, p);
+    ASSERT_FALSE(exec.halted()) << "step " << steps;
+    const StepInfo want = exec.step();
     EXPECT_EQ(cursor.next_pc(), p.pc_of(want.index));
     const DecodedStep step = cursor.step();
     EXPECT_EQ(step.row, &decoded.table().row(want.index));
@@ -123,16 +103,38 @@ TEST(Trace, CursorWalksWholeTraceOnce) {
     EXPECT_EQ(step.taken, want.branch_taken);
     ++steps;
   }
+  EXPECT_TRUE(exec.halted());
   EXPECT_EQ(steps, trace.size());
 }
 
 TEST(Trace, MemoryFootprintIsCompact) {
+  // The streams hold one address per memory step, one bit per conditional
+  // branch and one target per register jump, plus one element of padding
+  // behind the addresses and the taken bits: nothing else, and no slack.
   const Program p = loop_program();
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
-  // 14 bytes per step of payload; capacity-based accounting may round up
-  // by the vector growth factor but never below the payload.
-  EXPECT_GE(trace.memory_bytes(), trace.size() * 14);
-  EXPECT_LT(trace.memory_bytes(), trace.size() * 14 * 3 + 64);
+  const DecodedTrace decoded(trace, p);
+  TraceCursor cursor(decoded);
+  std::uint64_t mem = 0;
+  std::uint64_t cond = 0;
+  std::uint64_t jump_reg = 0;
+  while (!cursor.halted()) {
+    const DecodedStep step = cursor.step();
+    mem += step.row->mem_size != 0;
+    cond += step.row->control == ControlKind::kConditional;
+    jump_reg += step.row->control == ControlKind::kJumpReg;
+  }
+  EXPECT_EQ(mem, 20u);
+  EXPECT_EQ(cond, 10u);
+  EXPECT_LE(trace.memory_bytes(),
+            4 * (mem + 1) + 8 * ((cond + 63) / 64 + 1) + 4 * jump_reg);
+
+  // On the paper suite that is well under a byte per committed step.
+  for (const Workload& w : all_workloads()) {
+    const CommittedTrace t =
+        record_trace(workload_program(w), nullptr, w.max_steps);
+    EXPECT_LT(t.memory_bytes(), t.size()) << w.name;
+  }
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // interpreter side by side, requiring step-for-step StepInfo equality and
 // identical final architectural state. Deliberate edge cases ride along: a
 // branch whose target is exactly program.size() (off the end of the last
-// segment, into the halt sentinel) and fall-through into the sentinel via
-// `jr $ra`.
+// segment, into the halt sentinel), fall-through into the sentinel via
+// `jr $ra`, and an untaken branch whose target lies past the text. Every
+// recorded trace is also replayed next to the reference interpreter.
 //
 // Every failure message carries the generating seed; to reproduce, run the
 // failing test and feed the seed to build_random_program() under a
@@ -23,6 +24,7 @@
 #include "sim/trace.hpp"
 #include "sim/ucode.hpp"
 #include "support/random_program.hpp"
+#include "support/trace_lockstep.hpp"
 
 namespace t1000 {
 namespace {
@@ -72,6 +74,8 @@ void expect_lockstep(const Program& p, const std::string& tag) {
   EXPECT_EQ(a.size(), b.size()) << tag;
   EXPECT_EQ(a.checksum(), b.checksum()) << tag;
   EXPECT_EQ(a.content_hash(), b.content_hash()) << tag;
+  // ...and replay must rebuild the stream the reference interpreter runs.
+  fuzz::expect_cursor_matches_reference(p, nullptr, b, tag);
 }
 
 TEST(UcodeFuzz, RandomProgramsExecuteIdentically) {
@@ -108,6 +112,19 @@ TEST(UcodeFuzz, JrRaFallsOffTheEndIdentically) {
   p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/2, 0, 7));
   p.text.push_back(make_jr(/*rs=*/31));
   expect_lockstep(p, "jr-ra");
+}
+
+TEST(UcodeFuzz, UntakenBranchPastTheTextFallsThrough) {
+  // A branch whose target lies past the text lowers to kInterp: the
+  // reference interpreter faults only if it is taken. Untaken, it is an
+  // ordinary sequential step of a conditional branch.
+  Program p;
+  p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/8, 0, 0));
+  p.text.push_back(make_branch1(Opcode::kBgtz, /*rs=*/8, /*target=*/100));
+  p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/2, 0, 5));
+  p.text.push_back(make_halt());
+  ASSERT_EQ(UopProgram::build(p, nullptr).uops[1].kind, UopKind::kInterp);
+  expect_lockstep(p, "untaken-past-text");
 }
 
 TEST(UcodeFuzz, SingleInstructionProgram) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asmkit/assembler.hpp"
 #include "extinst/rewrite.hpp"
 #include "extinst/select.hpp"
+#include "sim/trace.hpp"
+#include "workloads/workload.hpp"
 
 namespace t1000 {
 namespace {
@@ -257,6 +261,43 @@ TEST(Timing, ExtSpeedsUpDependentChains) {
 TEST(Timing, ThrowsOnCycleBound) {
   const Program p = assemble("loop: j loop");
   EXPECT_THROW(simulate({.program = &p, .machine = base_machine(), .max_cycles = 1000}), SimError);
+}
+
+TEST(Replay, RefusesTraceOfAnotherProgram) {
+  // A trace is only meaningful next to the program it was recorded from:
+  // its rows decide every replayed successor and which stream a step reads.
+  // Another program must be refused by name, not replayed into statistics.
+  const Workload& w = *find_workload("gsm_dec");
+  const Program recorded = workload_program(w);
+  const CommittedTrace trace = record_trace(recorded, nullptr, w.max_steps);
+  const Program other = assemble(R"(
+        li $v0, 1
+        halt
+  )");
+  const auto expect_refused = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "replayed a trace against another program";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("another program"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([&] {
+    simulate({.program = &other, .trace = &trace, .machine = base_machine()});
+  });
+  expect_refused([&] {
+    simulate_replay_batch({.program = &other,
+                           .trace = &trace,
+                           .lanes = {{.machine = base_machine()}}});
+  });
+  // The program it was recorded from, even as a separate copy, replays.
+  const Program copy = workload_program(w);
+  EXPECT_EQ(simulate({.program = &copy, .trace = &trace,
+                      .machine = base_machine()})
+                .committed,
+            trace.size());
 }
 
 TEST(Timing, EmptyProgramCompletes) {
