@@ -15,13 +15,18 @@
 // 100-entry window does not fill a power-of-two ring.
 //
 // Direct and replayed runs share one pipeline, so a scheduler bug would
-// move both sides alike. The oracle fixture under golden/ pins every
-// case's observed replay absolutely; regenerate it only for a deliberate
-// timing-model change, by running this binary directly (its instances
-// rewrite the one file in turn, so not under a parallel ctest):
+// move both sides alike. Two oracle fixtures under golden/ pin observed
+// replays absolutely: replay_oracle.txt every case of the sweep above, and
+// replay_mshr_oracle.txt the baseline and selective runs on machines whose
+// MSHR cap, not the window, bounds memory parallelism. Regenerate one only
+// for a deliberate timing-model change, by running this binary directly
+// (its instances rewrite the one file in turn, so not under a parallel
+// ctest):
 //
 //   T1000_REGEN_GOLDEN=1 ./replay_differential_test
 //       --gtest_filter='*ObservedReplayMatchesOracleFixture*'
+//   T1000_REGEN_GOLDEN=1 ./replay_differential_test
+//       --gtest_filter='*MshrCappedReplayMatchesOracleFixture*'
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,6 +112,26 @@ const std::vector<NamedMachine>& machines() {
   return configs;
 }
 
+// Windows of 64 to 1024 entries behind one or two MSHRs, with memory 200
+// to 5000 cycles away: loads and stores queue for an MSHR while the window
+// fills behind them.
+const std::vector<NamedMachine>& mshr_machines() {
+  static const std::vector<NamedMachine> configs = [] {
+    const auto capped = [](int ruu, int mshrs, int memory_latency) {
+      MachineConfig m = pfu_machine(2, 10);
+      m.ruu_size = ruu;
+      m.max_outstanding_misses = mshrs;
+      m.memory_latency = memory_latency;
+      return m;
+    };
+    return std::vector<NamedMachine>{
+        {"ruu64_mshr1_mem200", capped(64, 1, 200)},
+        {"ruu1024_mshr2_mem1000", capped(1024, 2, 1000)},
+        {"ruu256_mshr1_mem5000", capped(256, 1, 5000)}};
+  }();
+  return configs;
+}
+
 const std::vector<Workload>& every_workload() {
   static const std::vector<Workload> all = [] {
     std::vector<Workload> out = all_workloads();
@@ -134,46 +159,92 @@ RunSpec spec_for(const Workload& w, Selector selector,
   return spec;
 }
 
-const Selector kSelectors[] = {Selector::kNone, Selector::kGreedy,
-                               Selector::kSelective};
-
-// The oracle fixture: one line per (workload, selector, machine) case,
+// An oracle fixture: one line per (workload, selector, machine) case,
 // "<workload>/<selector>/<machine> <cycles> <digest>", the digest being
 // FNV-1a over the observed replay's SimStats and StallBreakdown JSON.
-std::string oracle_path() {
-  return std::string(T1000_GOLDEN_DIR) + "/replay_oracle.txt";
-}
+struct Oracle {
+  std::string file;  // under golden/
+  const std::vector<NamedMachine>& (*machines)();
+  std::vector<Selector> selectors;
+
+  std::string path() const {
+    return std::string(T1000_GOLDEN_DIR) + "/" + file;
+  }
+};
+
+const Oracle kSweepOracle{"replay_oracle.txt", machines,
+                          {Selector::kNone, Selector::kGreedy,
+                           Selector::kSelective}};
+const Oracle kMshrOracle{"replay_mshr_oracle.txt", mshr_machines,
+                         {Selector::kNone, Selector::kSelective}};
 
 std::string case_key(const Workload& w, Selector selector,
                      const NamedMachine& nm) {
   return w.name + "/" + std::string(selector_name(selector)) + "/" + nm.name;
 }
 
-std::map<std::string, std::string> read_oracle() {
-  std::map<std::string, std::string> oracle;
-  std::ifstream is(oracle_path());
+std::map<std::string, std::string> read_oracle(const Oracle& oracle) {
+  std::map<std::string, std::string> cases;
+  std::ifstream is(oracle.path());
   std::string line;
   while (std::getline(is, line)) {
     const std::size_t space = line.find(' ');
     if (space != std::string::npos) {
-      oracle[line.substr(0, space)] = line.substr(space + 1);
+      cases[line.substr(0, space)] = line.substr(space + 1);
     }
   }
-  return oracle;
+  return cases;
 }
 
 // Writes the cases in sweep order, so a regeneration diff is reviewable.
-void write_oracle(const std::map<std::string, std::string>& oracle) {
-  std::ofstream os(oracle_path(), std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(os.is_open()) << "cannot write " << oracle_path();
+void write_oracle(const Oracle& oracle,
+                  const std::map<std::string, std::string>& cases) {
+  std::ofstream os(oracle.path(), std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(os.is_open()) << "cannot write " << oracle.path();
   for (const Workload& w : every_workload()) {
-    for (const Selector selector : kSelectors) {
-      for (const NamedMachine& nm : machines()) {
-        const auto it = oracle.find(case_key(w, selector, nm));
-        if (it != oracle.end()) os << it->first << ' ' << it->second << '\n';
+    for (const Selector selector : oracle.selectors) {
+      for (const NamedMachine& nm : oracle.machines()) {
+        const auto it = cases.find(case_key(w, selector, nm));
+        if (it != cases.end()) os << it->first << ' ' << it->second << '\n';
       }
     }
   }
+}
+
+// Checks (or, under T1000_REGEN_GOLDEN, rewrites) the cases of `w` in
+// `oracle` against its observed replays.
+void check_oracle(const Oracle& oracle, const Workload& w,
+                  WorkloadExperiment& exp) {
+  const bool regen = std::getenv("T1000_REGEN_GOLDEN") != nullptr;
+  std::map<std::string, std::string> cases = read_oracle(oracle);
+
+  for (const Selector selector : oracle.selectors) {
+    for (const NamedMachine& nm : oracle.machines()) {
+      const RunSpec spec = spec_for(w, selector, nm);
+      const WorkloadExperiment::PreparedView view = exp.prepared(spec);
+      ASSERT_NE(view.trace, nullptr);
+      SimObservation obs;
+      const SimStats stats = simulate(
+          {.program = view.program, .ext_table = view.table,
+           .trace = view.trace, .machine = spec.machine,
+           .max_cycles = spec.max_cycles, .observation = &obs});
+      const std::string digest =
+          std::to_string(stats.cycles) + " " +
+          to_hex(fnv1a64(to_json(stats).dump() + to_json(obs.stalls).dump()));
+      const std::string key = case_key(w, selector, nm);
+      if (regen) {
+        cases[key] = digest;
+        continue;
+      }
+      const auto it = cases.find(key);
+      ASSERT_NE(it, cases.end())
+          << "missing oracle case " << key << " in " << oracle.path()
+          << " — regenerate with T1000_REGEN_GOLDEN=1 (see file comment)";
+      EXPECT_EQ(it->second, digest)
+          << key << ": observed replay drifted from the oracle fixture";
+    }
+  }
+  if (regen) write_oracle(oracle, cases);
 }
 
 class ReplayDifferential : public ::testing::TestWithParam<std::size_t> {
@@ -271,72 +342,63 @@ TEST_P(ReplayDifferential, ObservedReplayMatchesDirectStallBreakdown) {
 TEST_P(ReplayDifferential, ObservedReplayMatchesOracleFixture) {
   // The absolute pin: every case's observed replay, statistics and stall
   // breakdown, against the checked-in digest.
-  const Workload& w = every_workload()[GetParam()];
-  WorkloadExperiment& exp = experiment(GetParam());
-  const bool regen = std::getenv("T1000_REGEN_GOLDEN") != nullptr;
-  std::map<std::string, std::string> oracle = read_oracle();
+  check_oracle(kSweepOracle, every_workload()[GetParam()],
+               experiment(GetParam()));
+}
 
-  for (const Selector selector : kSelectors) {
-    for (const NamedMachine& nm : machines()) {
-      const RunSpec spec = spec_for(w, selector, nm);
-      const WorkloadExperiment::PreparedView view = exp.prepared(spec);
-      ASSERT_NE(view.trace, nullptr);
-      SimObservation obs;
-      const SimStats stats = simulate(
-          {.program = view.program, .ext_table = view.table,
-           .trace = view.trace, .machine = spec.machine,
-           .max_cycles = spec.max_cycles, .observation = &obs});
-      const std::string digest =
-          std::to_string(stats.cycles) + " " +
-          to_hex(fnv1a64(to_json(stats).dump() + to_json(obs.stalls).dump()));
-      const std::string key = case_key(w, selector, nm);
-      if (regen) {
-        oracle[key] = digest;
-        continue;
-      }
-      const auto it = oracle.find(key);
-      ASSERT_NE(it, oracle.end())
-          << "missing oracle case " << key << " in " << oracle_path()
-          << " — regenerate with T1000_REGEN_GOLDEN=1 (see file comment)";
-      EXPECT_EQ(it->second, digest)
-          << key << ": observed replay drifted from the oracle fixture";
-    }
-  }
-  if (regen) write_oracle(oracle);
+TEST_P(ReplayDifferential, MshrCappedReplayMatchesOracleFixture) {
+  // The same pin on MSHR-bound machines, where most cycles pass with a
+  // load or store waiting for a miss to drain.
+  check_oracle(kMshrOracle, every_workload()[GetParam()],
+               experiment(GetParam()));
 }
 
 TEST(ReplayCycleBound, RunSucceedsExactlyFromOneBelowItsCycleCount) {
-  // gsm_dec under greedy selection on two PFUs at 500 cycles per
-  // reconfiguration spends most of its cycles waiting on reconfigurations,
-  // so most of these bounds fall inside a span in which nothing happens.
-  // A run of C cycles simulates cycles 0 .. C-1 and checks the bound at the
-  // start of each: it succeeds exactly when max_cycles >= C - 1, on both
-  // step sources, observed or not.
-  constexpr std::uint64_t kCycles = 7221409;
+  // Two gsm_dec runs that spend most of their cycles in spans in which
+  // nothing happens, so most of these bounds fall inside one: greedy
+  // selection on two PFUs at 500 cycles per reconfiguration waits on
+  // reconfigurations, and the baseline on a 64-entry window behind one
+  // MSHR, 100000 cycles from memory, waits on misses. A run of C cycles
+  // simulates cycles 0 .. C-1 and checks the bound at the start of each: it
+  // succeeds exactly when max_cycles >= C - 1, on both step sources,
+  // observed or not.
+  MachineConfig probe;
+  probe.max_outstanding_misses = 1;
+  probe.memory_latency = 100000;
+  const struct {
+    Selector selector;
+    NamedMachine machine;
+    std::uint64_t cycles;
+  } runs[] = {
+      {Selector::kGreedy, {"2pfu_lat500", pfu_machine(2, 500)}, 7221409},
+      {Selector::kNone, {"ruu64_mshr1_mem100000", probe}, 2274178},
+  };
   const Workload& w = *find_workload("gsm_dec");
   WorkloadExperiment exp(w);
-  const RunSpec spec =
-      spec_for(w, Selector::kGreedy, {"2pfu_lat500", pfu_machine(2, 500)});
-  const WorkloadExperiment::PreparedView view = exp.prepared(spec);
-  ASSERT_NE(view.trace, nullptr);
-
-  for (const bool replay : {false, true}) {
-    for (const bool observed : {false, true}) {
-      for (const std::uint64_t bound :
-           {kCycles - 2, kCycles - 1, kCycles, kCycles / 2,
-            std::uint64_t{501}, std::uint64_t{100}}) {
-        SimObservation obs;
-        const SimRequest request{
-            .program = view.program, .ext_table = view.table,
-            .trace = replay ? view.trace : nullptr, .machine = spec.machine,
-            .max_cycles = bound, .observation = observed ? &obs : nullptr};
-        const std::string tag = std::string(replay ? "replay" : "direct") +
-                                (observed ? " observed" : " plain") +
-                                " bound " + std::to_string(bound);
-        if (bound + 1 >= kCycles) {
-          EXPECT_EQ(simulate(request).cycles, kCycles) << tag;
-        } else {
-          EXPECT_THROW(simulate(request), SimError) << tag;
+  for (const auto& run : runs) {
+    const RunSpec spec = spec_for(w, run.selector, run.machine);
+    const WorkloadExperiment::PreparedView view = exp.prepared(spec);
+    ASSERT_NE(view.trace, nullptr);
+    const std::uint64_t c = run.cycles;
+    for (const bool replay : {false, true}) {
+      for (const bool observed : {false, true}) {
+        for (const std::uint64_t bound :
+             {c - 2, c - 1, c, c / 2, std::uint64_t{501},
+              std::uint64_t{100}}) {
+          SimObservation obs;
+          const SimRequest request{
+              .program = view.program, .ext_table = view.table,
+              .trace = replay ? view.trace : nullptr, .machine = spec.machine,
+              .max_cycles = bound, .observation = observed ? &obs : nullptr};
+          const std::string tag =
+              run.machine.name + (replay ? " replay" : " direct") +
+              (observed ? " observed" : " plain") + " bound " +
+              std::to_string(bound);
+          if (bound + 1 >= c) {
+            EXPECT_EQ(simulate(request).cycles, c) << tag;
+          } else {
+            EXPECT_THROW(simulate(request), SimError) << tag;
+          }
         }
       }
     }
