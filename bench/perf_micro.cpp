@@ -129,6 +129,28 @@ void BM_ReplayReconfig500(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayReconfig500)->Unit(benchmark::kMillisecond);
 
+// The MSHR-bound regime: gsm_dec on a 4096-entry window behind one MSHR,
+// memory 100000 cycles away, ~2.16 M simulated cycles. Loads and stores
+// wait for the one miss in flight to drain while the window fills behind
+// them; the clock jumps to each miss's completion.
+void BM_ReplayMshrCap(benchmark::State& state) {
+  const Program p = workload_program(bench_workload());
+  const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);
+  MachineConfig machine = baseline_machine();
+  machine.ruu_size = 4096;
+  machine.max_outstanding_misses = 1;
+  machine.memory_latency = 100000;
+  std::uint64_t instructions = 0;
+  for (auto _ : state) {
+    const SimStats st =
+        simulate({.program = &p, .trace = &trace, .machine = machine});
+    benchmark::DoNotOptimize(st);
+    instructions += st.committed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+}
+BENCHMARK(BM_ReplayMshrCap)->Unit(benchmark::kMillisecond);
+
 // Config-parallel batched replay: N machine configurations timed as lanes
 // of one simulate_replay_batch call over a shared pre-recorded trace.
 // items/s counts committed instructions across all lanes. Each lane runs
