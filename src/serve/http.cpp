@@ -189,6 +189,7 @@ std::string_view http_status_reason(int status) {
     case 405: return "Method Not Allowed";
     case 408: return "Request Timeout";
     case 409: return "Conflict";
+    case 410: return "Gone";
     case 413: return "Payload Too Large";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";

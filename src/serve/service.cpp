@@ -261,6 +261,13 @@ void SimService::runner_main() {
       job.error = std::move(finished.error);
       job.results = std::move(finished.results);
       job.cache_delta = finished.cache_delta;
+      // Dropped under the same lock, so no poll sees a half-dropped job.
+      finished_.push_back(id);
+      if (finished_.size() > options_.max_retained_jobs) {
+        jobs_.erase(finished_.front());
+        finished_.pop_front();
+        metrics_.counter("serve.jobs_evicted")->add();
+      }
     }
   }
 }
@@ -277,6 +284,17 @@ Json SimService::job_status_json(const Job& job) const {
   }
   if (job.state == JobState::kFailed) j["error"] = Json(job.error);
   return j;
+}
+
+HttpResponse SimService::missing_job(std::uint64_t id) const {
+  if (id == 0 || id >= next_job_id_) return error_json(404, "unknown job");
+  Json body = Json::object();
+  body["error"] = Json("job " + std::to_string(id) +
+                       " is gone: only the newest " +
+                       std::to_string(options_.max_retained_jobs) +
+                       " finished jobs are kept");
+  body["max_retained_jobs"] = Json(options_.max_retained_jobs);
+  return json_response(410, body);
 }
 
 HttpResponse SimService::handle_submit(const HttpRequest& request) {
@@ -343,14 +361,14 @@ HttpResponse SimService::handle_job_list() const {
 HttpResponse SimService::handle_job_status(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return error_json(404, "unknown job");
+  if (it == jobs_.end()) return missing_job(id);
   return json_response(200, job_status_json(it->second));
 }
 
 HttpResponse SimService::handle_job_results(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return error_json(404, "unknown job");
+  if (it == jobs_.end()) return missing_job(id);
   const Job& job = it->second;
   switch (job.state) {
     case JobState::kQueued:
@@ -371,7 +389,7 @@ HttpResponse SimService::handle_job_results(std::uint64_t id) const {
 HttpResponse SimService::handle_job_summary(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return error_json(404, "unknown job");
+  if (it == jobs_.end()) return missing_job(id);
   const Job& job = it->second;
   if (job.state == JobState::kQueued || job.state == JobState::kRunning) {
     // The deltas only exist once the grid has run; same contract as
@@ -402,7 +420,7 @@ HttpResponse SimService::handle_job_events(std::uint64_t id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return error_json(404, "unknown job");
+    if (it == jobs_.end()) return missing_job(id);
     trace_id = it->second.trace_id;
   }
   const auto job_finished = [this, id] {

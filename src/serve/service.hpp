@@ -20,15 +20,19 @@
 // job execution is what makes the shared cache's per-grid counter deltas
 // attributable. Admission control is a bounded queue: submissions beyond
 // `queue_limit` queued-but-unstarted jobs are rejected with 429 and a
-// status body, never silently dropped or unboundedly buffered.
+// status body, never silently dropped or unboundedly buffered. Retention
+// is bounded too: once more than `max_retained_jobs` jobs have finished,
+// each newly finished job drops the oldest finished one (counted by
+// serve.jobs_evicted); queued and running jobs are never dropped.
 //
-// API (all bodies JSON unless noted):
+// API (all bodies JSON unless noted; every /v1/jobs/<id> route answers 404
+// for an id never issued and 410, naming the cap, for a dropped one):
 //   GET  /healthz                 liveness + version of the API surface
 //   POST /v1/jobs                 submit a grid request -> 202 {job, state}
-//   GET  /v1/jobs                 list all jobs with states
+//   GET  /v1/jobs                 list the retained jobs with states
 //   GET  /v1/jobs/<id>            one job's status document
 //   GET  /v1/jobs/<id>/results    full results doc (202 + status while
-//                                 pending, 404 unknown)
+//                                 pending)
 //   GET  /v1/jobs/<id>/summary    status + this job's cache-counter deltas
 //                                 (hits/misses/evictions attributed to the
 //                                 job via Counters::since)
@@ -37,7 +41,8 @@
 //                                 experiment phases) as they happen;
 //                                 idle-heartbeat lines {"heartbeat":true};
 //                                 ends when the job finishes and drains
-//   GET  /v1/summary              text/plain engine-summary line per done job
+//   GET  /v1/summary              text/plain engine-summary line per
+//                                 retained job
 //   GET  /metrics                 metrics registry + cache/disk gauges;
 //                                 content-negotiated — Accept: text/plain
 //                                 renders Prometheus text exposition
@@ -103,6 +108,9 @@ struct ServiceOptions {
   std::uint64_t fail_limit = 0;  // default per-job circuit breaker
   // Queued-but-unstarted jobs beyond this are rejected with 429.
   std::size_t queue_limit = 8;
+  // Finished jobs kept for polling; beyond this the oldest is dropped and
+  // its id answers 410.
+  std::size_t max_retained_jobs = 1024;
   // On-disk JSONL event journal (--journal-out); empty = in-memory ring
   // only, which still powers the /v1/jobs/<id>/events stream.
   std::string journal_path;
@@ -191,6 +199,9 @@ class SimService {
   HttpResponse handle_shutdown();
 
   Json job_status_json(const Job& job) const;
+  // The answer for an id jobs_ does not hold: 410 if the retention cap
+  // dropped it, 404 if it was never issued. Called under mu_.
+  HttpResponse missing_job(std::uint64_t id) const;
 
   void runner_main();
 
@@ -203,6 +214,8 @@ class SimService {
   std::condition_variable cv_;
   std::map<std::uint64_t, Job> jobs_;
   std::deque<std::uint64_t> queue_;  // submitted, not yet started
+  // Finished job ids, oldest first; at most max_retained_jobs.
+  std::deque<std::uint64_t> finished_;
   // Requests parsed at submission, consumed by the runner. Kept apart
   // from Job so the (copied) status documents stay small.
   std::map<std::uint64_t, ParsedRequest> parsed_;

@@ -8,8 +8,9 @@
 // rather than buffering without bound; per-request budgets ride the grid's
 // timeout taxonomy and are clamped by the operator's cap; /v1/trace is
 // drawn from the journal ring alone, where a job's submission always
-// precedes its span; and the HTTP layer speaks enough HTTP/1.1 for curl
-// and the CI smoke job.
+// precedes its span; only the newest finished jobs are kept, and a dropped
+// one answers 410; and the HTTP layer speaks enough HTTP/1.1 for curl and
+// the CI smoke job.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -657,6 +658,50 @@ TEST(Service, TraceIsDrawnFromTheJournalRingOnly) {
                                                   "B run", "f job", "E "}));
 }
 
+TEST(Service, KeepsOnlyTheNewestFinishedJobs) {
+  // Past the cap, each finishing job drops the oldest finished one. A
+  // dropped id answers 410 naming the cap on every per-job route; an id
+  // never issued stays 404.
+  ServiceOptions options;
+  options.max_retained_jobs = 4;
+  SimService service(options);
+  const std::string body = one_run_request();
+  for (std::uint64_t id = 1; id <= 40; ++id) {
+    const HttpResponse r = service.handle_http(post("/v1/jobs", body));
+    ASSERT_EQ(r.status, 202);
+    ASSERT_EQ(Json::parse(r.body).at("job").as_uint(), id);
+    ASSERT_EQ(wait_for_job(service, id).at("state").as_string(), "done");
+  }
+
+  for (std::uint64_t id = 1; id <= 41; ++id) {
+    for (const char* suffix : {"", "/results", "/summary", "/events"}) {
+      const std::string path = "/v1/jobs/" + std::to_string(id) + suffix;
+      const HttpResponse r = service.handle_http(get(path));
+      if (id <= 36) {
+        ASSERT_EQ(r.status, 410) << path;
+        EXPECT_EQ(Json::parse(r.body).at("max_retained_jobs").as_uint(), 4u)
+            << path;
+        EXPECT_NE(r.body.find("only the newest 4 finished jobs are kept"),
+                  std::string::npos)
+            << r.body;
+      } else {
+        EXPECT_EQ(r.status, id <= 40 ? 200 : 404) << path;
+      }
+    }
+  }
+
+  const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
+  ASSERT_EQ(list.at("jobs").size(), 4u);
+  EXPECT_EQ(list.at("jobs").items().front().at("job").as_uint(), 37u);
+  const std::string summary = service.handle_http(get("/v1/summary")).body;
+  EXPECT_EQ(std::count(summary.begin(), summary.end(), '\n'), 4);
+  EXPECT_EQ(summary.rfind("job 37: ", 0), 0u) << summary;
+  const Json metrics = Json::parse(service.handle_http(get("/metrics")).body);
+  EXPECT_EQ(
+      metrics.at("metrics").at("serve.jobs_evicted").at("value").as_uint(),
+      36u);
+}
+
 // ---------------------------------------------------------------------------
 // HTTP transport over real loopback sockets.
 
@@ -830,6 +875,9 @@ TEST(Http, RendersResponsesWithLengthAndClose) {
   EXPECT_NE(text.find("Content-Length: 14\r\n"), std::string::npos);
   EXPECT_NE(text.find("Connection: close\r\n"), std::string::npos);
   EXPECT_NE(text.find("Content-Type: application/json\r\n"),
+            std::string::npos);
+  r.status = 410;
+  EXPECT_NE(render_http_response(r).find("HTTP/1.1 410 Gone\r\n"),
             std::string::npos);
 }
 

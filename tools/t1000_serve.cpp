@@ -2,7 +2,8 @@
 //
 //   t1000-serve [--host H] [--port P] [--port-file FILE] [--jobs N]
 //               [--cache-dir DIR | --no-cache] [--cache-budget-bytes N]
-//               [--queue-limit N] [--run-budget-ms MS]
+//               [--queue-limit N] [--max-retained-jobs N]
+//               [--run-budget-ms MS]
 //               [--max-run-budget-ms MS] [--fail-limit N]
 //               [--janitor-ttl-s S] [--janitor-interval-s S]
 //               [--http-threads N] [--journal-out FILE]
@@ -92,6 +93,7 @@ int main(int argc, char** argv) {
     }
   }
   long queue_limit = 8;
+  long max_retained_jobs = 1024;
   double run_budget_ms = 0.0;
   double max_run_budget_ms = 0.0;
   long fail_limit = 0;
@@ -127,6 +129,9 @@ int main(int argc, char** argv) {
   parser.add_int("--queue-limit", "N",
                  "reject submissions beyond N queued jobs", &queue_limit, 1,
                  1 << 20);
+  parser.add_int("--max-retained-jobs", "N",
+                 "keep the newest N finished jobs; older ids answer 410",
+                 &max_retained_jobs, 1, 1 << 20);
   parser.add_double("--run-budget-ms", "MS",
                     "default per-run wall-clock budget; 0 = unlimited",
                     &run_budget_ms);
@@ -169,6 +174,7 @@ int main(int argc, char** argv) {
   options.max_run_budget_ms = max_run_budget_ms;
   options.fail_limit = static_cast<std::uint64_t>(fail_limit);
   options.queue_limit = static_cast<std::size_t>(queue_limit);
+  options.max_retained_jobs = static_cast<std::size_t>(max_retained_jobs);
   options.journal_path = journal_out;
   options.journal_max_bytes = static_cast<std::uint64_t>(journal_max_bytes);
 
