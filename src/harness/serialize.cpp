@@ -285,10 +285,9 @@ Json to_json(const RunSpec& spec) {
   return j;
 }
 
-CacheConfig cache_config_from_json(const Json& j) {
+CacheConfig cache_config_from_json(const Json& j, CacheConfig c) {
   reject_unknown_members(j, "cache config",
                          {"size_bytes", "line_bytes", "assoc", "hit_latency"});
-  CacheConfig c;
   read_uint32(j, "size_bytes", &c.size_bytes);
   read_uint32(j, "line_bytes", &c.line_bytes);
   read_uint32(j, "assoc", &c.assoc);
@@ -296,21 +295,19 @@ CacheConfig cache_config_from_json(const Json& j) {
   return c;
 }
 
-TlbConfig tlb_config_from_json(const Json& j) {
+TlbConfig tlb_config_from_json(const Json& j, TlbConfig c) {
   reject_unknown_members(j, "tlb config",
                          {"entries", "page_bytes", "miss_latency"});
-  TlbConfig c;
   read_uint32(j, "entries", &c.entries);
   read_uint32(j, "page_bytes", &c.page_bytes);
   read_int(j, "miss_latency", &c.miss_latency);
   return c;
 }
 
-PfuConfig pfu_config_from_json(const Json& j) {
+PfuConfig pfu_config_from_json(const Json& j, PfuConfig c) {
   reject_unknown_members(j, "pfu config",
                          {"count", "reconfig_latency", "multi_cycle_ext",
                           "levels_per_cycle"});
-  PfuConfig c;
   read_int(j, "count", &c.count);
   read_int(j, "reconfig_latency", &c.reconfig_latency);
   read_bool(j, "multi_cycle_ext", &c.multi_cycle_ext);
@@ -318,11 +315,11 @@ PfuConfig pfu_config_from_json(const Json& j) {
   return c;
 }
 
-BranchPredictorConfig branch_predictor_config_from_json(const Json& j) {
+BranchPredictorConfig branch_predictor_config_from_json(
+    const Json& j, BranchPredictorConfig c) {
   reject_unknown_members(j, "branch predictor config",
                          {"kind", "bimodal_entries", "target_entries",
                           "mispredict_penalty"});
-  BranchPredictorConfig c;
   if (const Json* kind = j.find("kind")) {
     if (!branch_predictor_from_name(kind->as_string(), &c.kind)) {
       throw JsonError("unknown branch predictor kind \"" +
@@ -353,15 +350,15 @@ MachineConfig machine_config_from_json(const Json& j) {
   read_int(j, "int_mults", &c.int_mults);
   read_int(j, "mem_ports", &c.mem_ports);
   read_int(j, "max_outstanding_misses", &c.max_outstanding_misses);
-  if (const Json* v = j.find("il1")) c.il1 = cache_config_from_json(*v);
-  if (const Json* v = j.find("dl1")) c.dl1 = cache_config_from_json(*v);
-  if (const Json* v = j.find("l2")) c.l2 = cache_config_from_json(*v);
+  if (const Json* v = j.find("il1")) c.il1 = cache_config_from_json(*v, c.il1);
+  if (const Json* v = j.find("dl1")) c.dl1 = cache_config_from_json(*v, c.dl1);
+  if (const Json* v = j.find("l2")) c.l2 = cache_config_from_json(*v, c.l2);
   read_int(j, "memory_latency", &c.memory_latency);
-  if (const Json* v = j.find("itlb")) c.itlb = tlb_config_from_json(*v);
-  if (const Json* v = j.find("dtlb")) c.dtlb = tlb_config_from_json(*v);
-  if (const Json* v = j.find("pfu")) c.pfu = pfu_config_from_json(*v);
+  if (const Json* v = j.find("itlb")) c.itlb = tlb_config_from_json(*v, c.itlb);
+  if (const Json* v = j.find("dtlb")) c.dtlb = tlb_config_from_json(*v, c.dtlb);
+  if (const Json* v = j.find("pfu")) c.pfu = pfu_config_from_json(*v, c.pfu);
   if (const Json* v = j.find("branch")) {
-    c.branch = branch_predictor_config_from_json(*v);
+    c.branch = branch_predictor_config_from_json(*v, c.branch);
   }
   if (const std::string bad = validate(c); !bad.empty()) {
     throw JsonError("machine config: " + bad);
@@ -369,11 +366,10 @@ MachineConfig machine_config_from_json(const Json& j) {
   return c;
 }
 
-ExtractPolicy extract_policy_from_json(const Json& j) {
+ExtractPolicy extract_policy_from_json(const Json& j, ExtractPolicy p) {
   reject_unknown_members(j, "extract policy",
                          {"max_width", "min_length", "max_length",
                           "max_inputs", "max_outputs", "require_executed"});
-  ExtractPolicy p;
   read_int(j, "max_width", &p.max_width);
   read_int(j, "min_length", &p.min_length);
   read_int(j, "max_length", &p.max_length);
@@ -393,7 +389,7 @@ SelectPolicy select_policy_from_json(const Json& j) {
   read_int(j, "lut_budget", &p.lut_budget);
   read_bool(j, "use_subsequence_matrix", &p.use_subsequence_matrix);
   if (const Json* v = j.find("extract")) {
-    p.extract = extract_policy_from_json(*v);
+    p.extract = extract_policy_from_json(*v, p.extract);
   }
   return p;
 }

@@ -48,14 +48,17 @@ Json to_json(const ExtractPolicy& policy);
 Json to_json(const SelectPolicy& policy);
 Json to_json(const RunSpec& spec);
 
-CacheConfig cache_config_from_json(const Json& j);
-TlbConfig tlb_config_from_json(const Json& j);
-PfuConfig pfu_config_from_json(const Json& j);
-BranchPredictorConfig branch_predictor_config_from_json(const Json& j);
+// The nested decoders start from `base`, the enclosing struct's current
+// value, so an object that names some members keeps the rest.
+CacheConfig cache_config_from_json(const Json& j, CacheConfig base);
+TlbConfig tlb_config_from_json(const Json& j, TlbConfig base);
+PfuConfig pfu_config_from_json(const Json& j, PfuConfig base);
+BranchPredictorConfig branch_predictor_config_from_json(
+    const Json& j, BranchPredictorConfig base);
 // Also throws JsonError naming the field when the machine fails
 // validate() (uarch/config.hpp).
 MachineConfig machine_config_from_json(const Json& j);
-ExtractPolicy extract_policy_from_json(const Json& j);
+ExtractPolicy extract_policy_from_json(const Json& j, ExtractPolicy base);
 SelectPolicy select_policy_from_json(const Json& j);
 // Rebuilds a RunSpec from the to_json(RunSpec) shape: workload (required),
 // label, selector, machine, policy, max_cycles, verify, observe. Throws

@@ -61,6 +61,27 @@ TEST(SerializeRoundTrip, AbsentMembersKeepStructDefaults) {
   EXPECT_EQ(spec.selector, defaults.selector);
   EXPECT_EQ(spec.max_cycles, defaults.max_cycles);
   EXPECT_EQ(spec.verify, defaults.verify);
+
+  // The same holds inside nested objects: naming one cache, TLB, PFU,
+  // predictor or extract member keeps the machine's own value for the
+  // rest, not a zeroed struct's.
+  const RunSpec nested = run_spec_from_json(Json::parse(
+      "{\"workload\": \"epic\", \"machine\": {\"dl1\": {\"assoc\": 2}, "
+      "\"l2\": {\"hit_latency\": 8}, \"il1\": {\"size_bytes\": 8192}, "
+      "\"itlb\": {\"entries\": 16}, \"pfu\": {\"count\": 2}, "
+      "\"branch\": {\"mispredict_penalty\": 5}}, "
+      "\"policy\": {\"extract\": {\"max_inputs\": 4}}}"));
+  MachineConfig machine = defaults.machine;
+  machine.dl1.assoc = 2;
+  machine.l2.hit_latency = 8;
+  machine.il1.size_bytes = 8192;
+  machine.itlb.entries = 16;
+  machine.pfu.count = 2;
+  machine.branch.mispredict_penalty = 5;
+  EXPECT_EQ(to_json(nested.machine).dump(), to_json(machine).dump());
+  SelectPolicy policy = defaults.policy;
+  policy.extract.max_inputs = 4;
+  EXPECT_EQ(to_json(nested.policy).dump(), to_json(policy).dump());
 }
 
 TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {
