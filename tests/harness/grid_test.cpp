@@ -5,9 +5,11 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -932,20 +934,113 @@ TEST(Cache, JanitorSweepsAgedDebrisButNeverEntriesOrTheLock) {
   }
 }
 
-TEST(Cache, CountersSinceComputesMemberWiseDeltas) {
-  const TempDir dir("cache-since");
+TEST(Cache, CallerTallyCountsOnlyItsOwnCalls) {
+  const TempDir dir("cache-tally");
   ResultCache cache(dir.str());
   const CacheKey key = make_cache_key(baseline_spec("gsm_dec"), 0x1234u, 100u);
   RunOutcome out;
-  cache.lookup(key, &out);  // miss
-  const ResultCache::Counters baseline = cache.counters();
-  cache.store(key, out);
-  cache.lookup(key, &out);  // memory hit
-  const ResultCache::Counters delta = cache.counters().since(baseline);
-  EXPECT_EQ(delta.misses, 0u);  // the pre-baseline miss is subtracted out
-  EXPECT_EQ(delta.stores, 1u);
-  EXPECT_EQ(delta.memory_hits, 1u);
-  EXPECT_EQ(cache.counters().misses, 1u);
+  cache.lookup(key, &out);  // miss, untallied
+  ResultCache::Counters tally;
+  cache.store(key, out, &tally);
+  cache.lookup(key, &out, &tally);  // memory hit
+  cache.lookup(key, &out);          // memory hit, untallied
+  EXPECT_EQ(tally.misses, 0u);
+  EXPECT_EQ(tally.stores, 1u);
+  EXPECT_EQ(tally.memory_hits, 1u);
+  // The shared counters count every call, tallied or not.
+  const ResultCache::Counters all = cache.counters();
+  EXPECT_EQ(all.misses, 1u);
+  EXPECT_EQ(all.stores, 1u);
+  EXPECT_EQ(all.memory_hits, 2u);
+
+  // Counts made below lookup, on the disk tier, reach the tally too.
+  ResultCache fresh(dir.str());
+  ResultCache::Counters disk_tally;
+  EXPECT_TRUE(fresh.lookup(key, &out, &disk_tally));
+  EXPECT_EQ(disk_tally.disk_hits, 1u);
+  EXPECT_EQ(disk_tally.lookups(), 1u);
+}
+
+// Two grids on one cache, interleaved by their fault hooks: grid A holds
+// before its second run until grid B has done its first, and B holds
+// before its second until A has finished. Each engine must count its own
+// lookups and stores alone; diffs of the shared counters around each run
+// would hand each grid the other's traffic.
+TEST(Grid, GridsSharingACacheCountOnlyTheirOwnTraffic) {
+  ResultCache cache;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_held = false;
+  bool b_held = false;
+  bool release_a = false;
+  bool release_b = false;
+  const auto hold = [&](bool* held, const bool* release) {
+    std::unique_lock<std::mutex> lock(mu);
+    *held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return *release; });
+  };
+  const auto wait_for = [&](const bool* flag) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return *flag; });
+  };
+  const auto set = [&](bool* flag) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      *flag = true;
+    }
+    cv.notify_all();
+  };
+
+  ExperimentGrid a;
+  a.add_workload(*find_workload("gsm_dec"));
+  a.add_workload(*find_workload("g721_dec"));
+  a.add(baseline_spec("gsm_dec"));
+  a.add(baseline_spec("g721_dec"));
+  GridOptions a_options;
+  a_options.jobs = 1;
+  a_options.cache = &cache;
+  a_options.fault_hook = [&](const RunSpec& spec) {
+    if (spec.workload == "g721_dec") hold(&a_held, &release_a);
+  };
+
+  ExperimentGrid b;
+  b.add_workload(*find_workload("gsm_dec"));
+  b.add(baseline_spec("gsm_dec"));  // a memory hit on A's first store
+  b.add(greedy_spec("gsm_dec", "greedy", 2, 10));
+  GridOptions b_options;
+  b_options.jobs = 1;
+  b_options.cache = &cache;
+  b_options.fault_hook = [&](const RunSpec& spec) {
+    if (spec.label == "greedy") hold(&b_held, &release_b);
+  };
+
+  EngineStats a_engine;
+  EngineStats b_engine;
+  std::thread a_thread([&] { a_engine = a.run(a_options).engine(); });
+  wait_for(&a_held);
+  std::thread b_thread([&] { b_engine = b.run(b_options).engine(); });
+  wait_for(&b_held);
+  set(&release_a);
+  a_thread.join();
+  set(&release_b);
+  b_thread.join();
+
+  EXPECT_EQ(a_engine.ok, 2u);
+  EXPECT_EQ(a_engine.cache.memory_hits, 0u);
+  EXPECT_EQ(a_engine.cache.misses, 2u);
+  EXPECT_EQ(a_engine.cache.stores, 2u);
+  EXPECT_EQ(a_engine.simulated, 2u);
+  EXPECT_EQ(b_engine.ok, 2u);
+  EXPECT_EQ(b_engine.cache.memory_hits, 1u);
+  EXPECT_EQ(b_engine.cache.misses, 1u);
+  EXPECT_EQ(b_engine.cache.stores, 1u);
+  EXPECT_EQ(b_engine.simulated, 1u);
+  // The shared counters hold both grids' traffic.
+  const ResultCache::Counters all = cache.counters();
+  EXPECT_EQ(all.memory_hits, 1u);
+  EXPECT_EQ(all.misses, 3u);
+  EXPECT_EQ(all.stores, 3u);
 }
 
 TEST(Grid, EngineSummaryNeverTruncates) {
