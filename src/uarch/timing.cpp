@@ -134,7 +134,11 @@ class RecordingObserver final : public PfuListener {
  public:
   static constexpr bool kEnabled = true;
 
-  explicit RecordingObserver(SimObservation* out) : out_(out) {}
+  // want_trace is read once: only the lifecycle slices it asks for read
+  // the issue cycles, so an untraced run skips the store (and the
+  // division by the runtime RUU size) on every issue.
+  explicit RecordingObserver(SimObservation* out)
+      : out_(out), want_trace_(out->want_trace) {}
 
   void attach(PfuBank* bank, int ruu_size) {
     bank->set_listener(this);
@@ -158,14 +162,14 @@ class RecordingObserver final : public PfuListener {
   bool fetch_stall_is_branch() const { return fetch_stall_is_branch_; }
 
   void on_issue(std::uint64_t seq, std::uint64_t now) {
-    issue_cycle_[seq % slots_] = now;
+    if (want_trace_) issue_cycle_[seq % slots_] = now;
   }
 
   // Lifecycle slices are emitted at commit: the slot row is exclusively
   // occupied from dispatch to commit, and commit precedes dispatch within
   // a cycle, so per-row events are appended in monotone, balanced order.
   void on_commit(const RuuEntry& e, std::uint64_t now) {
-    if (!out_->want_trace) return;
+    if (!want_trace_) return;
     const std::size_t slot = e.seq % slots_;
     const int tid = static_cast<int>(slot);
     if (slot >= used_slots_) used_slots_ = slot + 1;
@@ -190,7 +194,7 @@ class RecordingObserver final : public PfuListener {
     ++c.reconfigurations;
     if (evicted != kInvalidConf) ++c.evictions;
     c.busy_cycles += ready - start;
-    if (out_->want_trace) {
+    if (want_trace_) {
       Json args = Json::object();
       args["conf"] = Json(static_cast<int>(conf));
       if (evicted != kInvalidConf) {
@@ -202,7 +206,7 @@ class RecordingObserver final : public PfuListener {
   }
 
   void finish() {
-    if (!out_->want_trace) return;
+    if (!want_trace_) return;
     out_->trace.name_process(kPipePid, "pipeline");
     for (std::size_t i = 0; i < used_slots_; ++i) {
       out_->trace.name_thread(kPipePid, static_cast<int>(i),
@@ -226,6 +230,7 @@ class RecordingObserver final : public PfuListener {
   }
 
   SimObservation* out_;
+  const bool want_trace_;
   std::size_t slots_ = 0;
   std::size_t used_slots_ = 0;
   std::vector<std::uint64_t> issue_cycle_;  // per slot, of the occupant
