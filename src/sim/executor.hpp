@@ -2,9 +2,10 @@
 //
 // Executes one instruction per step() and reports everything later passes
 // need: register values read, result produced, memory address touched, and
-// the successor instruction index. The timing simulator consumes this stream
-// directly — the paper models perfect branch prediction, so the fetched path
-// and the committed path coincide.
+// the successor instruction index. Trace recording (sim/trace.hpp) keeps
+// what the timing simulator needs of this stream, which replays it — the
+// paper models perfect branch prediction, so the fetched path and the
+// committed path coincide.
 #pragma once
 
 #include <array>

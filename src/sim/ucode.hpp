@@ -3,8 +3,8 @@
 // The reference interpreter (Executor's ExecMode::kReference path) pays a
 // two-level dispatch per step — op_kind() table lookup, then an inner
 // switch — plus src_regs()/extend_imm() re-derivation and a full StepInfo
-// materialization even when nobody reads it. Trace recording and direct
-// simulation take that cost on every committed instruction, which makes
+// materialization even when nobody reads it. Trace recording and profiling
+// take that cost on every committed instruction, which makes
 // functional execution the dominant cold-path cost of a grid sweep now
 // that replay itself is batched.
 //

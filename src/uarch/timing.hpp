@@ -1,11 +1,12 @@
-// Execution-driven timing simulator for the T1000 architecture.
+// Trace-driven timing simulator for the T1000 architecture.
 //
 // Models the paper's evaluation vehicle: a 4-wide out-of-order superscalar
 // with Register-Update-Unit (RUU) scheduling [Sohi], split L1 caches over a
 // unified L2, I/D TLBs, perfect branch prediction, and a bank of PFUs for
-// extended instructions. The committed path comes from the functional
-// executor: with perfect prediction the fetched and committed paths
-// coincide, so no wrong-path modelling is needed (Section 3.1).
+// extended instructions. The committed path comes from a trace the
+// functional executor recorded (sim/trace.hpp): with perfect prediction
+// the fetched and committed paths coincide, so no wrong-path modelling is
+// needed (Section 3.1) and a recorded run replays cycle-exactly.
 //
 // Pipeline per cycle: commit <= W oldest completed entries; issue <= W
 // ready entries oldest-first subject to FU availability (and, for EXT, the
@@ -140,22 +141,22 @@ struct SimObservation {
 // point per batch shape instead of positional overload families. The
 // designated-initializer idiom reads as named arguments:
 //
-//   simulate({.program = &p, .machine = cfg});                 // direct
-//   simulate({.program = &p, .trace = &t, .machine = cfg});    // replay
+//   simulate({.program = &p, .machine = cfg});                 // records
+//   simulate({.program = &p, .trace = &t, .machine = cfg});    // replays
 //   simulate({.program = &p, .machine = cfg, .observation = &obs});
 struct SimRequest {
-  // The program to time (required). For replay runs it must be the exact
+  // The program to time (required). With a trace it must be the exact
   // program the trace was recorded from.
   const Program* program = nullptr;
-  // EXT semantics; may be null when the program contains none. Consulted
-  // for multi-cycle EXT latencies on both paths.
+  // EXT semantics; may be null when the program contains none. Executes
+  // EXTs while recording and gives multi-cycle EXT latencies.
   const ExtInstTable* ext_table = nullptr;
-  // Replay source: when set, the pipeline is driven by this committed
-  // trace instead of an embedded functional executor. Cycle-exact with
-  // the direct path — tests/integration/replay_differential_test.cpp
-  // holds the two to byte-identical statistics — but the functional work
-  // is paid once at record time, so one trace serves a whole grid of
-  // machine configurations. Null selects execution-driven simulation.
+  // The committed trace to replay. Recording pays the functional work
+  // once, so one trace serves a whole grid of machine configurations.
+  // When null, simulate() first records the whole run, with a step bound
+  // of (max_cycles + 1) x commit_width (the most a run within max_cycles
+  // can commit), and then replays it: the trace it holds meanwhile grows
+  // with the run.
   const CommittedTrace* trace = nullptr;
   MachineConfig machine;
   std::uint64_t max_cycles = 1ull << 32;  // SimError past this bound
@@ -169,8 +170,8 @@ struct SimRequest {
 
 // Runs one timing simulation described by `request` and returns the
 // statistics. Throws SimError if the request is malformed, the machine
-// fails validate() (uarch/config.hpp), the program exceeds max_cycles, or
-// the simulation misbehaves.
+// fails validate() (uarch/config.hpp), the program exceeds max_cycles (or,
+// recording, the step bound), or the simulation misbehaves.
 SimStats simulate(const SimRequest& request);
 
 // Config-parallel batched replay: N machine configurations timed as lanes

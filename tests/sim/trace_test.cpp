@@ -39,8 +39,8 @@ TEST(Trace, RecordsExactCommittedStream) {
 
 TEST(Trace, SentinelStepIsLastAndSynthetic) {
   // Programs that return from main commit one off-the-end step (the halt
-  // sentinel); the direct pipeline performs an I-cache access for it, so
-  // stat-exact replay requires it in the trace.
+  // sentinel); the timing pipeline fetches its line through the I-cache
+  // before it sees the sentinel, so the trace must hold it.
   const Program p = assemble(R"(
         li $v0, 7
         jr $ra

@@ -13,7 +13,6 @@
 
 #include "asmkit/assembler.hpp"
 #include "harness/serialize.hpp"
-#include "sim/trace.hpp"
 #include "uarch/timing.hpp"
 
 namespace t1000 {
@@ -208,19 +207,6 @@ TEST(StallAttribution, StoreToLoadChargesExecutionSideCauses) {
   EXPECT_GT(obs.stalls.of(StallCause::kExecMem), 0u);
   EXPECT_GT(obs.stalls.of(StallCause::kFetchMem), 0u);
   EXPECT_GT(obs.stalls.of(StallCause::kDrain), 0u);
-}
-
-TEST(StallAttribution, ReplayProducesIdenticalBreakdown) {
-  for (const Scenario& s : scenarios()) {
-    SimObservation direct;
-    simulate({.program = &s.program, .ext_table = s.table_ptr(), .machine = s.machine, .observation = &direct});
-
-    const CommittedTrace trace = record_trace(s.program, s.table_ptr(), 1u << 22);
-    SimObservation replayed;
-    simulate({.program = &s.program, .ext_table = s.table_ptr(), .trace = &trace, .machine = s.machine, .observation = &replayed});
-    EXPECT_EQ(to_json(direct.stalls).dump(), to_json(replayed.stalls).dump())
-        << s.name;
-  }
 }
 
 TEST(StallAttribution, CauseNamesAreUniqueAndRoundTrip) {

@@ -4,6 +4,9 @@
 //   t1000-sim input.{s,obj} [--pfus N|unlimited] [--reconfig N]
 //             [--bimodal] [--multi-cycle-ext] [--ruu N] [--width N]
 //             [--stall-breakdown] [--trace-out FILE] [--json FILE]
+//
+// Records the program's committed trace, then times it by replay.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -43,11 +46,6 @@ int main(int argc, char** argv) {
                  kIntMin, kIntMax);
   parser.add_int("--width", "N", "fetch/decode/issue/commit width", &width,
                  kIntMin, kIntMax);
-  bool replay = false;
-  parser.add_flag("--replay",
-                  "time via committed-trace record + replay instead of "
-                  "execution-driven simulation (must be cycle-exact)",
-                  &replay);
   bool stall_breakdown = false;
   parser.add_flag("--stall-breakdown",
                   "attribute every non-committing cycle to one stall cause "
@@ -90,22 +88,23 @@ int main(int argc, char** argv) {
     const LoadedObject obj = tools::load_input(input);
     const ExtInstTable* table =
         obj.ext_table.size() > 0 ? &obj.ext_table : nullptr;
-    SimStats st;
-    CommittedTrace trace;
+    // The functional bound t1000-run, t1000-opt and t1000-verify use: a
+    // program that does not halt within it is a SimError, not a run that
+    // records until memory runs out.
+    constexpr std::uint64_t kMaxSteps = 1ull << 26;
+    const CommittedTrace trace = record_trace(obj.program, table, kMaxSteps);
     SimObservation obs;
     obs.want_trace = !trace_out.empty();
     const bool observe = stall_breakdown || obs.want_trace;
-    SimObservation* obs_ptr = observe ? &obs : nullptr;
-    if (replay) {
-      trace = record_trace(obj.program, table, 1ull << 32);
-      st = simulate({.program = &obj.program, .ext_table = table, .trace = &trace, .machine = cfg, .observation = obs_ptr});
-      std::printf("trace:             %llu steps, %llu KiB, hash %s\n",
-                  static_cast<unsigned long long>(trace.size()),
-                  static_cast<unsigned long long>(trace.memory_bytes() / 1024),
-                  to_hex(trace.content_hash()).c_str());
-    } else {
-      st = simulate({.program = &obj.program, .ext_table = table, .machine = cfg, .observation = obs_ptr});
-    }
+    const SimStats st = simulate({.program = &obj.program,
+                                  .ext_table = table,
+                                  .trace = &trace,
+                                  .machine = cfg,
+                                  .observation = observe ? &obs : nullptr});
+    std::printf("trace:             %llu steps, %llu KiB, hash %s\n",
+                static_cast<unsigned long long>(trace.size()),
+                static_cast<unsigned long long>(trace.memory_bytes() / 1024),
+                to_hex(trace.content_hash()).c_str());
     std::printf("cycles:            %llu\n",
                 static_cast<unsigned long long>(st.cycles));
     std::printf("instructions:      %llu  (IPC %.3f)\n",
@@ -148,7 +147,7 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) {
       // Hot-region annotations come from the functional profiler, exactly
       // as the selection algorithms see them.
-      const Profile prof = profile_program(obj.program, 1ull << 32, table);
+      const Profile prof = profile_program(obj.program, kMaxSteps, table);
       annotate_hot_regions(prof, obj.program, &obs.trace);
       // Compact form: event traces are large and consumed by viewers, not
       // humans.
@@ -169,13 +168,11 @@ int main(int argc, char** argv) {
     doc["machine"] = to_json(cfg);
     doc["stats"] = to_json(st);
     if (observe) doc["stalls"] = to_json(obs.stalls);
-    if (replay) {
-      Json tj = Json::object();
-      tj["steps"] = Json(static_cast<std::uint64_t>(trace.size()));
-      tj["memory_bytes"] = Json(trace.memory_bytes());
-      tj["content_hash"] = Json(to_hex(trace.content_hash()));
-      doc["trace"] = std::move(tj);
-    }
+    Json tj = Json::object();
+    tj["steps"] = Json(static_cast<std::uint64_t>(trace.size()));
+    tj["memory_bytes"] = Json(trace.memory_bytes());
+    tj["content_hash"] = Json(to_hex(trace.content_hash()));
+    doc["trace"] = std::move(tj);
     return common.finish(doc);
   } catch (...) {
     return tools::finish_current_exception(common, "t1000-sim");
