@@ -1043,6 +1043,119 @@ TEST(Grid, GridsSharingACacheCountOnlyTheirOwnTraffic) {
   EXPECT_EQ(all.stores, 3u);
 }
 
+// The work counters BENCH_10.json records per scenario, in its order.
+std::string scenario_counts(const EngineStats& e,
+                            const ResultCache::Counters& cache) {
+  std::string out;
+  const auto put = [&](const char* name, std::uint64_t value) {
+    out += std::string(name) + "=" + std::to_string(value) + " ";
+  };
+  put("runs", e.runs);
+  put("ok", e.ok);
+  put("failed", e.incomplete());
+  put("simulated", e.simulated);
+  put("traces_recorded", e.traces_recorded);
+  put("trace_replays", e.trace_replays);
+  put("batches", e.batches);
+  put("batched_runs", e.batched_runs);
+  put("verified_preps", e.verified_preps);
+  put("observed", e.observed);
+  put("cache_hits", cache.hits());
+  put("cache_misses", cache.misses);
+  put("cache_stores", cache.stores);
+  return out;
+}
+
+TEST(Grid, BenchTenScenariosKeepTheirCounts) {
+  // The eight scenarios of BENCH_10.json, each a grid on one worker over a
+  // cache of its own, with the counters that file records for them:
+  // schedule-independent, so exact.
+  struct Scenario {
+    const char* name;
+    std::vector<RunSpec> specs;
+    bool batch = true;
+    bool verify = false;
+    bool observe = false;
+    int rounds = 1;  // grid runs over the one cache; the last one counts
+    const char* want;
+  };
+  std::vector<RunSpec> paper_greedy;
+  std::vector<RunSpec> paper_selective;
+  for (const char* w : {"gsm_dec", "g721_dec"}) {
+    paper_greedy.push_back(baseline_spec(w));
+    paper_greedy.push_back(greedy_spec(w, "greedy2", 2, 10));
+    paper_selective.push_back(baseline_spec(w));
+    paper_selective.push_back(selective_spec(w, "sel2", 2, 10));
+  }
+  std::vector<RunSpec> latency_sweep = {baseline_spec("gsm_dec")};
+  for (const int latency : {5, 10, 20, 40}) {
+    latency_sweep.push_back(selective_spec(
+        "gsm_dec", "L" + std::to_string(latency), 2, latency));
+  }
+  const auto pair = [](const char* w) {
+    return std::vector<RunSpec>{baseline_spec(w),
+                                selective_spec(w, "sel2", 2, 10)};
+  };
+  const Scenario scenarios[] = {
+      {.name = "paper_greedy", .specs = paper_greedy,
+       .want = "runs=4 ok=4 failed=0 simulated=4 traces_recorded=4 "
+               "trace_replays=2 batches=0 batched_runs=0 verified_preps=0 "
+               "observed=0 cache_hits=0 cache_misses=4 cache_stores=4 "},
+      {.name = "paper_selective", .specs = paper_selective,
+       .want = "runs=4 ok=4 failed=0 simulated=4 traces_recorded=4 "
+               "trace_replays=2 batches=0 batched_runs=0 verified_preps=0 "
+               "observed=0 cache_hits=0 cache_misses=4 cache_stores=4 "},
+      {.name = "batched_replay", .specs = latency_sweep,
+       .want = "runs=5 ok=5 failed=0 simulated=5 traces_recorded=2 "
+               "trace_replays=4 batches=1 batched_runs=4 verified_preps=0 "
+               "observed=0 cache_hits=0 cache_misses=5 cache_stores=5 "},
+      {.name = "single_replay", .specs = latency_sweep, .batch = false,
+       .want = "runs=5 ok=5 failed=0 simulated=5 traces_recorded=2 "
+               "trace_replays=4 batches=0 batched_runs=0 verified_preps=0 "
+               "observed=0 cache_hits=0 cache_misses=5 cache_stores=5 "},
+      // Whole-scenario cache traffic: the cold round's misses and stores,
+      // the warm round's hits.
+      {.name = "cache_roundtrip", .specs = pair("g721_enc"), .rounds = 2,
+       .want = "runs=2 ok=2 failed=0 simulated=0 traces_recorded=0 "
+               "trace_replays=0 batches=0 batched_runs=0 verified_preps=0 "
+               "observed=0 cache_hits=2 cache_misses=2 cache_stores=2 "},
+      {.name = "compiled_kernel", .specs = pair("cc_cikernel"),
+       .want = "runs=2 ok=2 failed=0 simulated=2 traces_recorded=2 "
+               "trace_replays=1 batches=0 batched_runs=0 verified_preps=0 "
+               "observed=0 cache_hits=0 cache_misses=2 cache_stores=2 "},
+      {.name = "verified_sweep", .specs = pair("mpeg2_dec"), .verify = true,
+       .want = "runs=2 ok=2 failed=0 simulated=2 traces_recorded=2 "
+               "trace_replays=3 batches=0 batched_runs=0 verified_preps=2 "
+               "observed=0 cache_hits=0 cache_misses=2 cache_stores=2 "},
+      {.name = "observed_sweep", .specs = pair("epic"), .observe = true,
+       .want = "runs=2 ok=2 failed=0 simulated=2 traces_recorded=2 "
+               "trace_replays=1 batches=0 batched_runs=0 verified_preps=0 "
+               "observed=2 cache_hits=0 cache_misses=2 cache_stores=2 "},
+  };
+  for (const Scenario& s : scenarios) {
+    ExperimentGrid grid;
+    std::set<std::string> added;
+    for (const RunSpec& spec : s.specs) {
+      if (added.insert(spec.workload).second) {
+        grid.add_workload(*find_workload(spec.workload));
+      }
+      grid.add(spec);
+    }
+    ResultCache cache;
+    GridOptions options;
+    options.jobs = 1;
+    options.cache = &cache;
+    options.batch = s.batch;
+    options.verify = s.verify;
+    options.observe = s.observe;
+    EngineStats engine;
+    for (int round = 0; round < s.rounds; ++round) {
+      engine = grid.run(options).engine();
+    }
+    EXPECT_EQ(scenario_counts(engine, cache.counters()), s.want) << s.name;
+  }
+}
+
 TEST(Grid, EngineSummaryNeverTruncates) {
   // Worst-case field widths: every counter near its maximum. The old
   // fixed 224-byte buffer truncated this; the growable formatter must
