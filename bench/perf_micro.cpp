@@ -31,17 +31,6 @@ void BM_FunctionalSim(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalSim)->Unit(benchmark::kMillisecond);
 
-void BM_TimingSim(benchmark::State& state) {
-  const Program p = workload_program(bench_workload());
-  std::uint64_t instructions = 0;
-  for (auto _ : state) {
-    const SimStats st = simulate({.program = &p, .machine = baseline_machine()});
-    instructions += st.committed;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
-}
-BENCHMARK(BM_TimingSim)->Unit(benchmark::kMillisecond);
-
 // Cost of capturing the committed trace: functional execution, the
 // transient index column and the sparse streams (taken bits, addresses,
 // register-jump targets), and the content hash folded over the logical
@@ -92,9 +81,9 @@ void BM_ProfileWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileWorkload)->Unit(benchmark::kMillisecond);
 
-// Replay-backed timing run over a pre-recorded trace — the per-config
-// marginal cost of a grid sweep. Compare with BM_TimingSim, which pays
-// functional execution inside the pipeline on every run.
+// Timing run over a pre-recorded trace — the per-config marginal cost of
+// a grid sweep. A run without a trace records first: BM_RecordTrace plus
+// this.
 void BM_ReplayTimingSim(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);
@@ -181,17 +170,21 @@ void BM_ReplayBatch(benchmark::State& state) {
 BENCHMARK(BM_ReplayBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Observed timing run (stall attribution + PFU timeline, no event trace):
-// the marginal cost of RunSpec::observe over BM_TimingSim. The unobserved
-// pipeline compiles the observation layer out entirely, so BM_TimingSim
-// itself is the "free when disabled" reference.
+// Observed timing run (stall attribution + PFU timeline, no event trace)
+// over a pre-recorded trace: the marginal cost of RunSpec::observe over
+// BM_ReplayTimingSim. The unobserved pipeline compiles the observation
+// layer out entirely, so BM_ReplayTimingSim itself is the "free when
+// disabled" reference.
 void BM_StallAttribution(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
+  const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);
   std::uint64_t instructions = 0;
   for (auto _ : state) {
     SimObservation obs;
-    const SimStats st =
-        simulate({.program = &p, .machine = baseline_machine(), .observation = &obs});
+    const SimStats st = simulate({.program = &p,
+                                  .trace = &trace,
+                                  .machine = baseline_machine(),
+                                  .observation = &obs});
     benchmark::DoNotOptimize(obs.stalls);
     instructions += st.committed;
   }
@@ -199,15 +192,20 @@ void BM_StallAttribution(benchmark::State& state) {
 }
 BENCHMARK(BM_StallAttribution)->Unit(benchmark::kMillisecond);
 
-// Full event-trace recording (per-instruction lifecycle slices) plus the
-// Chrome trace-event JSON serialization — the cost of --trace-out.
+// Full event-trace recording (per-instruction lifecycle slices) over a
+// pre-recorded committed trace, plus the Chrome trace-event JSON
+// serialization — the cost of --trace-out.
 void BM_EmitTrace(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
+  const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);
   std::uint64_t events = 0;
   for (auto _ : state) {
     SimObservation obs;
     obs.want_trace = true;
-    simulate({.program = &p, .machine = baseline_machine(), .observation = &obs});
+    simulate({.program = &p,
+              .trace = &trace,
+              .machine = baseline_machine(),
+              .observation = &obs});
     benchmark::DoNotOptimize(obs.trace.to_json());
     events += obs.trace.size();
   }
