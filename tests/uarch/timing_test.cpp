@@ -263,6 +263,17 @@ TEST(Timing, ThrowsOnCycleBound) {
   EXPECT_THROW(simulate({.program = &p, .machine = base_machine(), .max_cycles = 1000}), SimError);
 }
 
+TEST(Timing, RecordingBoundSaturatesAtTheLargestCycleBound) {
+  // A run given no trace records with a step bound of (max_cycles + 1) x
+  // commit_width. At the largest max_cycles that product would wrap to 0
+  // and refuse the first step, so it saturates instead.
+  const Program p = assemble("li $v0, 7\nhalt");
+  EXPECT_EQ(simulate({.program = &p, .machine = base_machine(),
+                      .max_cycles = ~std::uint64_t{0}})
+                .committed,
+            2u);
+}
+
 TEST(Replay, RefusesTraceOfAnotherProgram) {
   // A trace is only meaningful next to the program it was recorded from:
   // its rows decide every replayed successor and which stream a step reads.
