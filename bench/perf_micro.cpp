@@ -254,7 +254,8 @@ BENCHMARK(BM_RewriteProgram)->Unit(benchmark::kMicrosecond);
 
 // Full static verification of a selected+rewritten workload — the price a
 // grid point pays under --verify before it simulates (wf.* module checks,
-// per-application legality, and the semantic-equivalence proof).
+// per-application legality, the width audit, and the translation validator
+// whose symbolic proof is the one equivalence proof).
 void BM_VerifyWorkload(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const AnalyzedProgram ap = analyze_program(p, 1u << 24);
@@ -269,7 +270,8 @@ BENCHMARK(BM_VerifyWorkload)->Unit(benchmark::kMicrosecond);
 // The translation-validation slice alone (equiv.* rules: index-map walk,
 // survivor byte-identity, branch retargeting, symbolic per-application
 // proof, dead-kill leak scan). The delta against BM_VerifyWorkload is the
-// cost of the wf.* module checks plus legality recomputation.
+// cost of the wf.* module checks (decoded-form check included), legality
+// recomputation and the width audit.
 void BM_ValidateRewrite(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const AnalyzedProgram ap = analyze_program(p, 1u << 24);

@@ -49,10 +49,6 @@ Json to_json(const VerifyReport& report) {
   Json stats = Json::object();
   stats["configs"] = Json(report.stats.configs);
   stats["apps"] = Json(report.stats.apps);
-  stats["equiv_structural"] = Json(report.stats.equiv_structural);
-  stats["equiv_exhaustive"] = Json(report.stats.equiv_exhaustive);
-  stats["equiv_sampled"] = Json(report.stats.equiv_sampled);
-  stats["equiv_evals"] = Json(report.stats.equiv_evals);
   stats["translation_proven"] = Json(report.stats.translation_proven);
   stats["width_static_proven"] = Json(report.stats.width_static_proven);
   stats["width_profile_only"] = Json(report.stats.width_profile_only);
@@ -71,7 +67,6 @@ Json to_json(const VerifyTiming& timing) {
   Json j = Json::object();
   j["wellformed_ms"] = Json(timing.wellformed_ms);
   j["legality_ms"] = Json(timing.legality_ms);
-  j["equiv_ms"] = Json(timing.equiv_ms);
   j["width_ms"] = Json(timing.width_ms);
   j["translation_ms"] = Json(timing.translation_ms);
   j["total_ms"] = Json(timing.total_ms);

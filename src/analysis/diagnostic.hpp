@@ -1,8 +1,9 @@
 // Diagnostics and reports for the static-analysis layer (the T1000 IR
 // verifier). A verification run produces a VerifyReport: an ordered list of
 // Diagnostics — each carrying a stable machine-readable rule id — plus the
-// counters that describe *how* each property was established (structural
-// proof vs exhaustive enumeration vs sampling) and per-phase wall-clock.
+// counters that describe how much ground each check covered (applications
+// proven by the symbolic translation proof, inputs whose width bound is
+// static) and per-phase wall-clock.
 //
 // The report splits into a deterministic part (diagnostics, stats, width
 // audit — byte-identical across runs, compared by CI) and a timing part
@@ -45,19 +46,10 @@ struct Diagnostic {
 struct VerifyStats {
   int configs = 0;  // distinct extended-instruction configurations checked
   int apps = 0;     // rewrite applications checked
-  // Semantic equivalence, per application. `structural` = the recomputed
-  // micro-program is identical to the interned configuration, which proves
-  // equality over the entire input space (subsumes any enumeration);
-  // `exhaustive` = full enumeration of the profiled-width operand domain
-  // completed; `sampled` = neither proof applied and only pseudo-random
-  // samples were compared (always paired with a sem.unproven warning).
-  int equiv_structural = 0;
-  int equiv_exhaustive = 0;
-  int equiv_sampled = 0;
-  std::uint64_t equiv_evals = 0;  // concrete evaluation pairs compared
-  // Translation validation: applications whose semantics were proven by
-  // symbolic execution over the normalized expression DAG (`equiv.symbolic`
-  // succeeded; the proof covers the full 2^32 input space per port).
+  // Applications whose semantics were proven by symbolic execution over
+  // the normalized expression DAG (`equiv.symbolic` succeeded; the proof
+  // covers the full 2^32 input space per port). It is the verifier's only
+  // equivalence proof, so a clean report has translation_proven == apps.
   int translation_proven = 0;
   // Bitwidth soundness: inputs whose width bound is also provable from a
   // conservative static value-range argument vs. inputs where selection
@@ -73,7 +65,6 @@ struct VerifyStats {
 struct VerifyTiming {
   double wellformed_ms = 0.0;
   double legality_ms = 0.0;
-  double equiv_ms = 0.0;
   double width_ms = 0.0;
   double translation_ms = 0.0;
   double total_ms = 0.0;

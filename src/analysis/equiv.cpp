@@ -377,8 +377,8 @@ void check_replaced(const Program& baseline, const RewriteResult& rewrite,
 // micro-program over a slot state seeded identically, then requires every
 // claimed output to land on the *same node* of the shared normalized DAG.
 // Node identity is function identity over the input leaves, so a successful
-// proof holds for all 2^32 valuations of every input at once — independent
-// of the profiled widths the enumeration-based `sem.*` phase relies on.
+// proof holds for all 2^32 valuations of every input at once, whatever
+// widths the profile observed. It is the verifier's one equivalence proof.
 // Returns true when the application is proven.
 bool check_symbolic(const AnalyzedProgram& ap, const Application& app,
                     std::size_t app_index, const Selection& selection,

@@ -149,12 +149,10 @@ struct ExternalInput {
 
 struct Recomputed {
   bool usable = false;  // micro-program and I/O recomputed without errors
-  ExtInstDef def;
   std::vector<ExternalInput> externals;  // slot order (<= options.max_inputs)
   Reg output = 0;
   // Required extra outputs: intermediates whose value stays architecturally
-  // visible past the landing point, in member order (parallel to
-  // def.out_slots()[1..] once usable).
+  // visible past the landing point, in member order.
   std::vector<Reg> extra_outputs;
   int width = 1;  // widest profiled input (applied to every port)
   std::int32_t landing = -1;
@@ -379,8 +377,10 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
     rc.extra_outputs.push_back(d);
   }
 
+  // Constructing the definition validates the recomputed micro-program
+  // (for instance, more members than one PFU configuration holds).
   try {
-    rc.def = ExtInstDef(n_in, std::move(uops), std::move(out_slots));
+    (void)ExtInstDef(n_in, std::move(uops), std::move(out_slots));
   } catch (const std::exception& e) {
     emit(report, Severity::kError, "ext.opcode-class", loc,
          std::string("recomputed micro-program is not a valid PFU "
@@ -452,195 +452,6 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
     }
   }
   return rc;
-}
-
-// ---------------------------------------------------------------------------
-// Semantic equivalence: the interned configuration the PFU will execute vs.
-// an independent interpretation of the original member instructions,
-// mirroring the executor's operand selection exactly.
-
-// Interprets the original member instructions over a register file seeded
-// with the input valuation, and reads back every claimed output (primary
-// first, then the extra outputs in member order).
-void interpret_members(const Program& program, const Application& app,
-                       const Recomputed& rc,
-                       const std::array<std::uint32_t, kMaxExtInputs>& in,
-                       std::array<std::uint32_t, kMaxExtOutputs>& out) {
-  std::array<std::uint32_t, kNumRegs> regs;
-  for (int r = 0; r < kNumRegs; ++r) {
-    // Poison pattern: a read the recomputation did not account for yields a
-    // value no legitimate narrow operand produces.
-    regs[static_cast<std::size_t>(r)] =
-        0x9E3779B9u * static_cast<std::uint32_t>(r + 1);
-  }
-  regs[kRegZero] = 0;
-  for (std::size_t e = 0; e < rc.externals.size(); ++e) {
-    if (rc.externals[e].reg != kRegZero) regs[rc.externals[e].reg] = in[e];
-  }
-  // Extra outputs are read at the position of their producing member, not
-  // after the whole window: a later member may legally reuse the register.
-  std::vector<std::uint32_t> extra(rc.extra_outputs.size(), 0);
-  for (const std::int32_t p : app.positions) {
-    const Instruction& ins = program.text[static_cast<std::size_t>(p)];
-    std::uint32_t v = 0;
-    switch (op_kind(ins.op)) {
-      case OpKind::kAlu3:
-        v = eval_alu(ins.op, regs[ins.rs], regs[ins.rt]);
-        break;
-      case OpKind::kShiftImm:
-        v = eval_alu(ins.op, regs[ins.rs],
-                     static_cast<std::uint32_t>(ins.imm));
-        break;
-      case OpKind::kAluImm:
-        v = eval_alu(ins.op, regs[ins.rs], extend_imm(ins.op, ins.imm));
-        break;
-      case OpKind::kLui:
-        v = static_cast<std::uint32_t>(ins.imm & 0xFFFF) << 16;
-        break;
-      default:
-        return;  // unreachable: candidacy checked during recomputation
-    }
-    if (ins.rd != kRegZero) regs[ins.rd] = v;
-    for (std::size_t e = 0; e < rc.extra_outputs.size(); ++e) {
-      if (rc.extra_outputs[e] == ins.rd) extra[e] = v;
-    }
-  }
-  out[0] = regs[rc.output];
-  for (std::size_t e = 0; e < extra.size(); ++e) out[e + 1] = extra[e];
-}
-
-std::uint32_t sign_extend(std::uint64_t k, int width) {
-  if (width >= 32) return static_cast<std::uint32_t>(k);
-  const std::uint32_t v = static_cast<std::uint32_t>(k);
-  const std::uint32_t sign = 1u << (width - 1);
-  return (v ^ sign) - sign;
-}
-
-// Domain size (distinct values) of input slot `e`: 2^width, except the
-// hardwired-zero register which only ever supplies 0.
-std::uint64_t domain_size(const Recomputed& rc, std::size_t e) {
-  if (rc.externals[e].reg == kRegZero) return 1;
-  const int w = rc.width;
-  return w >= 32 ? (1ull << 32) : (1ull << w);
-}
-
-std::uint32_t domain_value(const Recomputed& rc, std::size_t e,
-                           std::uint64_t k) {
-  if (rc.externals[e].reg == kRegZero) return 0;
-  return sign_extend(k, rc.width);
-}
-
-struct EquivOutcome {
-  enum class Method { kExhaustive, kSampled } method = Method::kExhaustive;
-  std::uint64_t evals = 0;
-  bool mismatch = false;
-  std::array<std::uint32_t, kMaxExtInputs> in{};
-  int output = 0;  // mismatching output index (0 = primary)
-  std::uint32_t expected = 0, got = 0;
-};
-
-EquivOutcome check_equivalence(const AnalyzedProgram& ap,
-                               const Application& app, const Recomputed& rc,
-                               const ExtInstDef& interned,
-                               const VerifyOptions& options) {
-  EquivOutcome out;
-  const Program& program = *ap.program;
-  const std::size_t n_in = rc.externals.size();
-  const int n_out = 1 + static_cast<int>(rc.extra_outputs.size());
-  // A configuration with the wrong output arity cannot be equivalent; the
-  // structural/claim checks report the details.
-  if (interned.num_outputs() != n_out ||
-      interned.num_inputs() != static_cast<int>(n_in)) {
-    out.mismatch = true;
-    return out;
-  }
-  auto probe = [&](const std::array<std::uint32_t, kMaxExtInputs>& in) {
-    std::array<std::uint32_t, kMaxExtOutputs> expected{};
-    std::array<std::uint32_t, kMaxExtOutputs> got{};
-    interpret_members(program, app, rc, in, expected);
-    interned.eval_multi(in, got);
-    ++out.evals;
-    for (int o = 0; o < n_out; ++o) {
-      const auto os = static_cast<std::size_t>(o);
-      if (expected[os] != got[os]) {
-        if (!out.mismatch) {
-          out.mismatch = true;
-          out.in = in;
-          out.output = o;
-          out.expected = expected[os];
-          out.got = got[os];
-        }
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::array<std::uint64_t, kMaxExtInputs> dims;
-  dims.fill(1);
-  std::uint64_t total = 1;
-  bool huge = false;
-  for (std::size_t e = 0; e < n_in; ++e) {
-    dims[e] = domain_size(rc, e);
-    if (dims[e] > options.exhaustive_budget ||
-        total > options.exhaustive_budget / dims[e]) {
-      huge = true;
-    }
-    if (!huge) total *= dims[e];
-  }
-  if (!huge) {
-    // Odometer over the full product domain.
-    out.method = EquivOutcome::Method::kExhaustive;
-    std::array<std::uint64_t, kMaxExtInputs> k{};
-    while (true) {
-      std::array<std::uint32_t, kMaxExtInputs> in{};
-      for (std::size_t e = 0; e < n_in; ++e) {
-        in[e] = domain_value(rc, e, k[e]);
-      }
-      if (!probe(in)) return out;
-      std::size_t e = 0;
-      for (; e < n_in; ++e) {
-        if (++k[e] < dims[e]) break;
-        k[e] = 0;
-      }
-      if (e == n_in) break;  // odometer wrapped: domain exhausted
-    }
-    return out;
-  }
-
-  // Deterministic probes: domain corners plus a fixed-seed LCG stream.
-  out.method = EquivOutcome::Method::kSampled;
-  std::uint64_t state = 0x853C49E6748FEA9Bull ^
-                        (static_cast<std::uint64_t>(app.conf) << 32) ^
-                        static_cast<std::uint64_t>(app.positions[0]);
-  auto next = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 31;
-  };
-  // Corner odometer: {0, 1, mid, max} per input dimension.
-  std::array<std::size_t, kMaxExtInputs> c{};
-  while (true) {
-    std::array<std::uint32_t, kMaxExtInputs> in{};
-    for (std::size_t e = 0; e < n_in; ++e) {
-      const std::uint64_t corners[] = {0, 1, dims[e] / 2, dims[e] - 1};
-      in[e] = domain_value(rc, e, corners[c[e]]);
-    }
-    if (!probe(in)) return out;
-    std::size_t e = 0;
-    for (; e < n_in; ++e) {
-      if (++c[e] < 4) break;
-      c[e] = 0;
-    }
-    if (e == n_in) break;
-  }
-  for (int s = 0; s < options.samples; ++s) {
-    std::array<std::uint32_t, kMaxExtInputs> in{};
-    for (std::size_t e = 0; e < n_in; ++e) {
-      in[e] = domain_value(rc, e, next() % dims[e]);
-    }
-    if (!probe(in)) return out;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -874,50 +685,7 @@ VerifyReport verify_selection(const AnalyzedProgram& ap,
   }
   report.timing.legality_ms = ms_since(start_legality);
 
-  // Phase 3: semantic equivalence per application.
-  const auto start_equiv = Clock::now();
-  for (std::size_t i = 0; i < selection.apps.size(); ++i) {
-    const Application& app = selection.apps[i];
-    const Recomputed& rc = recomputed[i];
-    if (!rc.usable ||
-        app.conf >= static_cast<ConfId>(selection.table.size())) {
-      continue;
-    }
-    const ExtInstDef& interned = selection.table.at(app.conf);
-    // Structural proof: the micro-program recomputed from the original text
-    // is identical (same signature) to the configuration the PFU executes,
-    // so both compute the same function over the whole input space.
-    const bool structural = rc.def.signature() == interned.signature();
-    const EquivOutcome eq =
-        check_equivalence(ap, app, rc, interned, options);
-    report.stats.equiv_evals += eq.evals;
-    if (eq.mismatch) {
-      std::string ins;
-      for (std::size_t e = 0; e < rc.externals.size(); ++e) {
-        ins += (e ? ", " : "") + std::to_string(eq.in[e]);
-      }
-      emit(report, Severity::kError, "sem.equiv", app_loc(app.conf, i),
-           "EXT computes a different function: inputs (" + ins +
-               ") give " + std::to_string(eq.got) + " at output " +
-               std::to_string(eq.output) + ", sequence gives " +
-               std::to_string(eq.expected));
-      continue;
-    }
-    if (structural) {
-      ++report.stats.equiv_structural;
-    } else if (eq.method == EquivOutcome::Method::kExhaustive) {
-      ++report.stats.equiv_exhaustive;
-    } else {
-      ++report.stats.equiv_sampled;
-      emit(report, Severity::kWarning, "sem.unproven", app_loc(app.conf, i),
-           "no structural proof and the operand domain is too large to "
-           "enumerate; only " +
-               std::to_string(eq.evals) + " sampled evaluations agree");
-    }
-  }
-  report.timing.equiv_ms = ms_since(start_equiv);
-
-  // Phase 4: bitwidth-soundness audit.
+  // Phase 3: bitwidth-soundness audit.
   const auto start_width = Clock::now();
   std::set<std::string> seen_audit;
   for (std::size_t i = 0; i < selection.apps.size(); ++i) {
@@ -927,9 +695,10 @@ VerifyReport verify_selection(const AnalyzedProgram& ap,
   }
   report.timing.width_ms = ms_since(start_width);
 
-  // Phase 5: translation validation (`equiv.*`, analysis/equiv.hpp) — the
+  // Phase 4: translation validation (`equiv.*`, analysis/equiv.hpp) — the
   // rewritten binary against the baseline, independent of the per-app
-  // legality recomputation above.
+  // legality recomputation above. Its `equiv.symbolic` rule is the one
+  // proof that each EXT computes its member chain's function.
   const auto start_translation = Clock::now();
   check_translation(ap, selection, rewrite, options, report);
   report.timing.translation_ms = ms_since(start_translation);

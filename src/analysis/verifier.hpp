@@ -23,24 +23,15 @@
 //    binary is proven to be the baseline with exactly the covered windows
 //    replaced, and each EXT's semantics are proven against the covered
 //    baseline instructions by symbolic execution over a normalized
-//    expression DAG, with a liveness proof that every register a window
-//    kills but its EXT no longer writes is dead at the rewrite point;
-//  * semantic equivalence (`sem.*`): each collapsed chain provably
-//    computes the same function as its constituent instruction sequence.
-//    A structural proof (recomputed micro-program identical to the
-//    interned configuration) establishes equality over the entire input
-//    space, subsuming exhaustive enumeration of the ≤ 18-bit operand
-//    domain; structurally different pairs are settled by exhaustive
-//    enumeration of the profiled-width domain when it fits the budget,
-//    and otherwise by deterministic sampling — which is flagged as a
-//    `sem.unproven` *warning*, never silently treated as proof;
+//    expression DAG, for all 2^32 values of every input, with a liveness
+//    proof that every register a window kills but its EXT no longer writes
+//    is dead at the rewrite point. This is the verifier's one proof that a
+//    collapsed chain computes the same function as its instructions;
 //  * bitwidth soundness (`width.*`): the profiler-observed widths the
 //    extractor trusted are cross-checked against a conservative static
 //    value-range bound; inputs whose narrowness only the profile vouches
 //    for are reported in the width audit.
 #pragma once
-
-#include <cstdint>
 
 #include "analysis/diagnostic.hpp"
 #include "extinst/rewrite.hpp"
@@ -59,13 +50,6 @@ struct VerifyOptions {
   // kMaxExtOutputs) bounds both.
   int max_inputs = 2;
   int max_outputs = 1;
-  // Largest operand-domain size (evaluation pairs) the equivalence check
-  // will enumerate exhaustively; larger domains rely on the structural
-  // proof or degrade to flagged sampling. 1<<22 keeps the worst single
-  // application around 4M paired evaluations.
-  std::uint64_t exhaustive_budget = 1ull << 22;
-  // Deterministic pseudo-random probes used when neither proof applies.
-  int samples = 1024;
   // Promote width-audit entries (profile-only narrowness claims) to
   // `width.profile-only` warnings.
   bool pedantic = false;
@@ -82,7 +66,7 @@ VerifyReport verify_module(const Program& program, const ExtInstTable* table,
                            const VerifyOptions& options = {});
 
 // Full pipeline verification: module checks on the rewritten program plus
-// legality, semantic-equivalence, and width checks for every application
+// legality, width, and translation-validation checks for every application
 // in `selection` against the *original* analyzed program. `rewrite` must
 // be the result of applying `selection.apps` to `ap`'s program.
 VerifyReport verify_selection(const AnalyzedProgram& ap,

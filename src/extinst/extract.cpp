@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <optional>
 
 namespace t1000 {
@@ -87,8 +88,8 @@ class ChainGrower {
       site.loop = loop_id;
       site.exec_count = profile_.at(p).count;
       if (site.length() >= policy_.min_length &&
-          window_valid(program_, site, 0, site.length() - 1, max_inputs(),
-                       max_outputs())) {
+          window_valid(program_, site, 0, site.length() - 1,
+                       policy_.max_inputs, policy_.max_outputs)) {
         for (const std::int32_t q : site.positions) used_[rel(q)] = true;
         sites.push_back(std::move(site));
       }
@@ -99,14 +100,6 @@ class ChainGrower {
  private:
   std::size_t rel(std::int32_t p) const {
     return static_cast<std::size_t>(p - block_.first);
-  }
-
-  // Policy shape clamped to the ISA ceiling.
-  int max_inputs() const {
-    return std::clamp(policy_.max_inputs, 1, kMaxExtInputs);
-  }
-  int max_outputs() const {
-    return std::clamp(policy_.max_outputs, 1, kMaxExtOutputs);
   }
 
   bool is_candidate(std::int32_t p) const {
@@ -174,7 +167,9 @@ class ChainGrower {
         refs[static_cast<std::size_t>(s)] = {SrcRef::Kind::kExternal,
                                              srcs.reg[s], -1};
       }
-      if (static_cast<int>(new_externals.size()) > max_inputs()) return false;
+      if (static_cast<int>(new_externals.size()) > policy_.max_inputs) {
+        return false;
+      }
       externals = std::move(new_externals);
       site.positions.push_back(p);
       site.srcs.push_back(refs);
@@ -186,7 +181,7 @@ class ChainGrower {
 
     // Extra-output budget: live interior members each claim one output port
     // beyond the primary.
-    int live_budget = max_outputs() - 1;
+    int live_budget = policy_.max_outputs - 1;
     while (site.length() < policy_.max_length) {
       const std::int32_t tail = site.positions.back();
       // The tail's value must have exactly one distinct reader, inside the
@@ -227,10 +222,30 @@ class ChainGrower {
 
 }  // namespace
 
+std::string validate(const ExtractPolicy& policy) {
+  struct Range {
+    const char* field;
+    int value;
+    int hi;
+  };
+  for (const Range& r :
+       {Range{"min_length", policy.min_length, kMaxUops},
+        Range{"max_length", policy.max_length, kMaxUops},
+        Range{"max_inputs", policy.max_inputs, kMaxExtInputs},
+        Range{"max_outputs", policy.max_outputs, kMaxExtOutputs}}) {
+    if (r.value < 1 || r.value > r.hi) {
+      return std::string(r.field) + " must be in [1, " +
+             std::to_string(r.hi) + "] (got " + std::to_string(r.value) + ")";
+    }
+  }
+  return {};
+}
+
 std::vector<SeqSite> extract_sites(const Program& program, const Cfg& cfg,
                                    const Liveness& liveness,
                                    const Profile& profile,
                                    const ExtractPolicy& policy) {
+  assert(validate(policy).empty());
   std::vector<SeqSite> sites;
   for (const BasicBlock& block : cfg.blocks()) {
     const BlockFacts facts = analyze_block(

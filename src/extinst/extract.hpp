@@ -16,6 +16,7 @@
 // output (the member is marked `live` in the site).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "asmkit/program.hpp"
@@ -32,13 +33,21 @@ struct ExtractPolicy {
   int max_length = kMaxUops;
   bool require_executed = true;  // skip never-executed instructions
   // Candidate shape (paper Section 4 defaults; widening explores the
-  // fig. 7-style trade against PFU operand ports / result buses). Clamped
-  // to the ISA ceiling kMaxExtInputs/kMaxExtOutputs.
+  // fig. 7-style trade against PFU operand ports / result buses). validate()
+  // holds it to the ISA ceiling kMaxExtInputs/kMaxExtOutputs.
   int max_inputs = 2;   // distinct external register inputs per chain
   int max_outputs = 1;  // register outputs (primary + live interior members)
 };
 
+// Checks the candidate shape: min_length and max_length in [1, kMaxUops],
+// max_inputs in [1, kMaxExtInputs] and max_outputs in [1, kMaxExtOutputs].
+// Returns an empty string for a usable policy, otherwise a message naming
+// the first bad field, its range and its value, as validate(MachineConfig)
+// does.
+std::string validate(const ExtractPolicy& policy);
+
 // All maximal candidate sites in `program`, ordered by first position.
+// `policy` must pass validate(); analyze_program refuses one that does not.
 std::vector<SeqSite> extract_sites(const Program& program, const Cfg& cfg,
                                    const Liveness& liveness,
                                    const Profile& profile,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "hwcost/lut_model.hpp"
@@ -72,6 +73,9 @@ void emit_site(Selection* sel, const Program& program, const Profile& profile,
 AnalyzedProgram analyze_program(const Program& program,
                                 std::uint64_t max_steps,
                                 const ExtractPolicy& policy) {
+  if (const std::string bad = validate(policy); !bad.empty()) {
+    throw std::invalid_argument("analyze_program: " + bad);
+  }
   AnalyzedProgram ap;
   ap.program = &program;
   ap.extract = policy;

@@ -75,6 +75,8 @@ struct AnalyzedProgram {
 };
 
 // Profiles (functionally executes) `program` and extracts maximal sites.
+// Throws std::invalid_argument, naming the field, when `policy` fails
+// validate() (extinst/extract.hpp).
 AnalyzedProgram analyze_program(const Program& program,
                                 std::uint64_t max_steps,
                                 const ExtractPolicy& policy = {});

@@ -260,6 +260,8 @@ bool Json::as_bool() const {
 std::int64_t Json::as_int() const {
   if (type_ == Type::kInt) return int_;
   if (type_ == Type::kDouble) {
+    // Converting a double outside the int64 range is undefined behaviour.
+    if (!(double_ >= -0x1p63 && double_ < 0x1p63)) type_error("int", type_);
     const auto v = static_cast<std::int64_t>(double_);
     if (static_cast<double>(v) != double_) type_error("int", type_);
     return v;

@@ -1,6 +1,8 @@
 #include "harness/serialize.hpp"
 
 #include <initializer_list>
+#include <limits>
+#include <utility>
 
 #include "harness/identity.hpp"
 #include "uarch/config.hpp"
@@ -39,18 +41,21 @@ void reject_unknown_members(const Json& j, const char* context,
   }
 }
 
-void read_int(const Json& j, std::string_view key, int* out) {
-  if (const Json* v = j.find(key)) *out = static_cast<int>(v->as_int());
-}
-
-void read_uint32(const Json& j, std::string_view key, std::uint32_t* out) {
-  if (const Json* v = j.find(key)) {
-    *out = static_cast<std::uint32_t>(v->as_uint());
+// Reads integer member `key` into a field of type T. A value T cannot hold
+// is an error naming the member: a cast would wrap it, and the request
+// would run a machine nobody asked for.
+template <typename T>
+void read_int(const Json& j, std::string_view key, T* out) {
+  const Json* v = j.find(key);
+  if (v == nullptr) return;
+  const std::int64_t value = v->as_int();
+  if (!std::in_range<T>(value)) {
+    throw JsonError("member \"" + std::string(key) + "\" must be in [" +
+                    std::to_string(std::numeric_limits<T>::min()) + ", " +
+                    std::to_string(std::numeric_limits<T>::max()) +
+                    "] (got " + std::to_string(value) + ")");
   }
-}
-
-void read_uint64(const Json& j, std::string_view key, std::uint64_t* out) {
-  if (const Json* v = j.find(key)) *out = v->as_uint();
+  *out = static_cast<T>(value);
 }
 
 void read_bool(const Json& j, std::string_view key, bool* out) {
@@ -288,9 +293,9 @@ Json to_json(const RunSpec& spec) {
 CacheConfig cache_config_from_json(const Json& j, CacheConfig c) {
   reject_unknown_members(j, "cache config",
                          {"size_bytes", "line_bytes", "assoc", "hit_latency"});
-  read_uint32(j, "size_bytes", &c.size_bytes);
-  read_uint32(j, "line_bytes", &c.line_bytes);
-  read_uint32(j, "assoc", &c.assoc);
+  read_int(j, "size_bytes", &c.size_bytes);
+  read_int(j, "line_bytes", &c.line_bytes);
+  read_int(j, "assoc", &c.assoc);
   read_int(j, "hit_latency", &c.hit_latency);
   return c;
 }
@@ -298,8 +303,8 @@ CacheConfig cache_config_from_json(const Json& j, CacheConfig c) {
 TlbConfig tlb_config_from_json(const Json& j, TlbConfig c) {
   reject_unknown_members(j, "tlb config",
                          {"entries", "page_bytes", "miss_latency"});
-  read_uint32(j, "entries", &c.entries);
-  read_uint32(j, "page_bytes", &c.page_bytes);
+  read_int(j, "entries", &c.entries);
+  read_int(j, "page_bytes", &c.page_bytes);
   read_int(j, "miss_latency", &c.miss_latency);
   return c;
 }
@@ -326,8 +331,8 @@ BranchPredictorConfig branch_predictor_config_from_json(
                       kind->as_string() + "\"");
     }
   }
-  read_uint32(j, "bimodal_entries", &c.bimodal_entries);
-  read_uint32(j, "target_entries", &c.target_entries);
+  read_int(j, "bimodal_entries", &c.bimodal_entries);
+  read_int(j, "target_entries", &c.target_entries);
   read_int(j, "mispredict_penalty", &c.mispredict_penalty);
   return c;
 }
@@ -376,6 +381,9 @@ ExtractPolicy extract_policy_from_json(const Json& j, ExtractPolicy p) {
   read_int(j, "max_inputs", &p.max_inputs);
   read_int(j, "max_outputs", &p.max_outputs);
   read_bool(j, "require_executed", &p.require_executed);
+  if (const std::string bad = validate(p); !bad.empty()) {
+    throw JsonError("extract policy: " + bad);
+  }
   return p;
 }
 
@@ -412,7 +420,7 @@ RunSpec run_spec_from_json(const Json& j) {
   if (const Json* v = j.find("policy")) {
     spec.policy = select_policy_from_json(*v);
   }
-  read_uint64(j, "max_cycles", &spec.max_cycles);
+  read_int(j, "max_cycles", &spec.max_cycles);
   read_bool(j, "verify", &spec.verify);
   read_bool(j, "observe", &spec.observe);
   return spec;

@@ -49,7 +49,9 @@ Json to_json(const SelectPolicy& policy);
 Json to_json(const RunSpec& spec);
 
 // The nested decoders start from `base`, the enclosing struct's current
-// value, so an object that names some members keeps the rest.
+// value, so an object that names some members keeps the rest. Every
+// decoder throws JsonError naming the member when a number does not fit
+// its field.
 CacheConfig cache_config_from_json(const Json& j, CacheConfig base);
 TlbConfig tlb_config_from_json(const Json& j, TlbConfig base);
 PfuConfig pfu_config_from_json(const Json& j, PfuConfig base);
@@ -58,12 +60,13 @@ BranchPredictorConfig branch_predictor_config_from_json(
 // Also throws JsonError naming the field when the machine fails
 // validate() (uarch/config.hpp).
 MachineConfig machine_config_from_json(const Json& j);
+// Likewise when the candidate shape fails validate() (extinst/extract.hpp).
 ExtractPolicy extract_policy_from_json(const Json& j, ExtractPolicy base);
 SelectPolicy select_policy_from_json(const Json& j);
 // Rebuilds a RunSpec from the to_json(RunSpec) shape: workload (required),
 // label, selector, machine, policy, max_cycles, verify, observe. Throws
 // JsonError on unknown members, bad types, unknown selector names, or an
-// invalid machine.
+// invalid machine or candidate shape.
 RunSpec run_spec_from_json(const Json& j);
 
 CacheStats cache_stats_from_json(const Json& j);

@@ -89,6 +89,40 @@ void validate(int num_inputs, const std::vector<MicroOp>& uops,
   }
 }
 
+// The micro-op loop behind eval and eval_multi: runs `uops` over `slots`
+// (inputs already in place), writing each result to its dst slot, and
+// returns the last result, which validate() makes the primary output.
+std::uint32_t run_uops(const std::vector<MicroOp>& uops,
+                       std::uint32_t* slots) {
+  std::uint32_t result = 0;
+  for (const MicroOp& u : uops) {
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    switch (op_kind(u.op)) {
+      case OpKind::kAlu3:
+        a = slots[u.a];
+        b = slots[u.b];
+        break;
+      case OpKind::kShiftImm:
+        a = slots[u.a];
+        b = static_cast<std::uint32_t>(u.imm);
+        break;
+      case OpKind::kAluImm:
+        a = slots[u.a];
+        b = extend_imm(u.op, u.imm);
+        break;
+      case OpKind::kLui:
+        b = static_cast<std::uint32_t>(u.imm) & 0xFFFF;
+        break;
+      default:
+        assert(false);
+    }
+    result = eval_alu(u.op, a, b);
+    slots[u.dst] = result;
+  }
+  return result;
+}
+
 }  // namespace
 
 ExtInstDef::ExtInstDef(int num_inputs, std::vector<MicroOp> uops)
@@ -115,34 +149,7 @@ int ExtInstDef::base_cycles() const {
 std::uint32_t ExtInstDef::eval(std::uint32_t in0, std::uint32_t in1) const {
   assert(num_inputs_ <= 2);
   std::uint32_t slots[kMaxExtInputs + kMaxUops] = {in0, in1};
-  std::uint32_t result = 0;
-  for (const MicroOp& u : uops_) {
-    const OpKind k = op_kind(u.op);
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-    switch (k) {
-      case OpKind::kAlu3:
-        a = slots[u.a];
-        b = slots[u.b];
-        break;
-      case OpKind::kShiftImm:
-        a = slots[u.a];
-        b = static_cast<std::uint32_t>(u.imm);
-        break;
-      case OpKind::kAluImm:
-        a = slots[u.a];
-        b = extend_imm(u.op, u.imm);
-        break;
-      case OpKind::kLui:
-        b = static_cast<std::uint32_t>(u.imm) & 0xFFFF;
-        break;
-      default:
-        assert(false);
-    }
-    result = eval_alu(u.op, a, b);
-    slots[u.dst] = result;
-  }
-  return result;
+  return run_uops(uops_, slots);
 }
 
 void ExtInstDef::eval_multi(
@@ -150,31 +157,7 @@ void ExtInstDef::eval_multi(
     std::array<std::uint32_t, kMaxExtOutputs>& out) const {
   std::uint32_t slots[kMaxExtInputs + kMaxUops] = {};
   for (int i = 0; i < num_inputs_; ++i) slots[i] = in[i];
-  for (const MicroOp& u : uops_) {
-    const OpKind k = op_kind(u.op);
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-    switch (k) {
-      case OpKind::kAlu3:
-        a = slots[u.a];
-        b = slots[u.b];
-        break;
-      case OpKind::kShiftImm:
-        a = slots[u.a];
-        b = static_cast<std::uint32_t>(u.imm);
-        break;
-      case OpKind::kAluImm:
-        a = slots[u.a];
-        b = extend_imm(u.op, u.imm);
-        break;
-      case OpKind::kLui:
-        b = static_cast<std::uint32_t>(u.imm) & 0xFFFF;
-        break;
-      default:
-        assert(false);
-    }
-    slots[u.dst] = eval_alu(u.op, a, b);
-  }
+  run_uops(uops_, slots);
   for (std::size_t i = 0; i < out_slots_.size(); ++i) {
     out[i] = slots[out_slots_[i]];
   }

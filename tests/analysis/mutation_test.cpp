@@ -83,12 +83,8 @@ TEST_F(MutationTest, CleanSelectionVerifiesWithZeroDiagnostics) {
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
   EXPECT_GE(report.stats.apps, 1);
-  // Every application recomputes to the interned configuration bit-for-bit:
-  // a proof over the whole input space, no sampling.
-  EXPECT_EQ(report.stats.equiv_structural, report.stats.apps);
-  EXPECT_EQ(report.stats.equiv_sampled, 0);
-  // ... and the translation validator discharges its symbolic proof for
-  // every application as well (analysis/equiv.hpp).
+  // The translation validator discharges its symbolic proof, which covers
+  // the whole input space, for every application (analysis/equiv.hpp).
   EXPECT_EQ(report.stats.translation_proven, report.stats.apps);
 }
 
@@ -98,7 +94,7 @@ TEST_F(MutationTest, FlippedOpcodeBreaksEquivalence) {
   program_.text[static_cast<std::size_t>(p)].op = Opcode::kSubu;
   const VerifyReport report = verify();
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_rule(report, "sem.equiv")) << report.summary();
+  EXPECT_TRUE(has_rule(report, "equiv.symbolic")) << report.summary();
 }
 
 TEST_F(MutationTest, NonEligibleOpcodeIsFlagged) {

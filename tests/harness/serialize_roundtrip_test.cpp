@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
@@ -84,17 +85,18 @@ TEST(SerializeRoundTrip, AbsentMembersKeepStructDefaults) {
   EXPECT_EQ(to_json(nested.policy).dump(), to_json(policy).dump());
 }
 
+void expect_throw_containing(const std::string& text,
+                             const std::string& needle) {
+  try {
+    run_spec_from_json(Json::parse(text));
+    FAIL() << "expected JsonError for: " << text;
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "diagnostic was: " << e.what();
+  }
+}
+
 TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {
-  const auto expect_throw_containing = [](const std::string& text,
-                                          const std::string& needle) {
-    try {
-      run_spec_from_json(Json::parse(text));
-      FAIL() << "expected JsonError for: " << text;
-    } catch (const JsonError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << "diagnostic was: " << e.what();
-    }
-  };
   expect_throw_containing("{\"workload\": \"epic\", \"bogus\": 1}", "bogus");
   expect_throw_containing(
       "{\"workload\": \"epic\", \"machine\": {\"issue_widht\": 8}}",
@@ -106,6 +108,28 @@ TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {
       "{\"workload\": \"epic\", \"machine\": {\"branch\": {\"knid\": "
       "\"gshare\"}}}",
       "knid");
+}
+
+TEST(SerializeRoundTrip, OutOfRangeNumbersAreRejectedByName) {
+  // ruu_size 2^32 + 64 used to wrap to a 64-entry RUU, and a candidate
+  // shape past the EXT encoding reached the extractor unchecked.
+  const std::string run = "{\"workload\": \"epic\", ";
+  expect_throw_containing(run + "\"machine\": {\"ruu_size\": 4294967360}}",
+                          "\"ruu_size\" must be in [-2147483648, 2147483647]");
+  expect_throw_containing(
+      run + "\"machine\": {\"dl1\": {\"size_bytes\": -1}}}",
+      "\"size_bytes\" must be in [0, 4294967295] (got -1)");
+  EXPECT_THROW(run_spec_from_json(Json::parse(
+                   run + "\"machine\": {\"ruu_size\": 1e30}}")),
+               JsonError);
+  for (const char* bad : {"max_inputs\": 0", "max_inputs\": 5",
+                          "max_outputs\": 3", "min_length\": 0",
+                          "max_length\": 9"}) {
+    const std::string field(bad, std::string_view(bad).find('"'));
+    expect_throw_containing(
+        run + "\"policy\": {\"extract\": {\"" + bad + "}}}",
+        "extract policy: " + field + " must be in [1, ");
+  }
 }
 
 TEST(SerializeRoundTrip, BadEnumNamesAreRejected) {

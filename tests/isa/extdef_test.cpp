@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace t1000 {
@@ -52,6 +54,25 @@ TEST(ExtInstDef, ImmediateExtensionRespected) {
 TEST(ExtInstDef, LuiNeedsNoInputs) {
   const ExtInstDef d(0, {{.op = Opcode::kLui, .dst = 2, .imm = 0x12}});
   EXPECT_EQ(d.eval(0, 0), 0x120000u);
+}
+
+TEST(ExtInstDef, EvalIsTheFirstOutputOfEvalMulti) {
+  // 2-in/2-out: t = in1 - in0, out = {t >> 3 (arithmetic), t}.
+  const ExtInstDef mimo(2,
+                        {{.op = Opcode::kSubu, .dst = 2, .a = 1, .b = 0},
+                         {.op = Opcode::kSra, .dst = 3, .a = 2, .imm = 3}},
+                        {3, 2});
+  for (const ExtInstDef& d : {sll_addu(), mimo}) {
+    for (const std::uint32_t a : {0u, 1u, 100u, 0x80000000u, 0xFFFFFFFFu}) {
+      std::array<std::uint32_t, kMaxExtOutputs> out{};
+      d.eval_multi({a, 7, 0, 0}, out);
+      EXPECT_EQ(d.eval(a, 7), out[0]) << d.signature();
+    }
+  }
+  std::array<std::uint32_t, kMaxExtOutputs> out{};
+  mimo.eval_multi({3, 100, 0, 0}, out);
+  EXPECT_EQ(out[0], 97u >> 3);
+  EXPECT_EQ(out[1], 97u);
 }
 
 TEST(ExtInstDef, IdenticalSequencesShareSignature) {

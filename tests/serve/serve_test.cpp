@@ -254,9 +254,11 @@ TEST(Service, MalformedSubmissionsAre400WithDiagnostics) {
 }
 
 TEST(Service, DegenerateMachinesAndDeepBodiesAre400) {
-  // Each of these used to crash or hang the daemon: a zero cache line or
-  // size divides by zero, a zero fetch width never drains, and deep
-  // nesting overflowed the parser's stack.
+  // Each of these used to crash, hang or mislead the daemon: a zero cache
+  // line or size divides by zero, a zero fetch width never drains, an RUU
+  // of 2^32 + 64 wrapped to 64 entries, max_inputs 0 failed its run with
+  // std::bad_array_new_length, and deep nesting overflowed the parser's
+  // stack.
   SimService service(ServiceOptions{});
   const auto expect_400_naming = [&](const std::string& body,
                                      const std::string& needle) {
@@ -273,6 +275,11 @@ TEST(Service, DegenerateMachinesAndDeepBodiesAre400) {
   expect_400_naming(run_on("{\"dl1\": {\"size_bytes\": 0}}"), "dl1.");
   expect_400_naming(run_on("{\"fetch_width\": 0}"), "fetch_width");
   expect_400_naming(run_on("{\"ruu_size\": 2000000000}"), "ruu_size");
+  expect_400_naming(run_on("{\"ruu_size\": 4294967360}"), "ruu_size");
+  expect_400_naming(
+      "{\"runs\": [{\"workload\": \"gsm_dec\", \"selector\": \"selective\", "
+      "\"policy\": {\"extract\": {\"max_inputs\": 0}}}]}",
+      "max_inputs");
   expect_400_naming(std::string(100000, '['), "nesting");
 
   const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);

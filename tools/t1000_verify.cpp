@@ -1,7 +1,8 @@
 // t1000-verify: the static-analysis entry point (analysis/verifier.hpp).
 // Verifies IR well-formedness and, when a selection pipeline runs, the
-// extended-instruction legality / semantic-equivalence / bitwidth rules the
-// paper's Sections 3-5 rest on. DESIGN.md Section 11 has the rule catalog.
+// extended-instruction legality / bitwidth / translation-validation rules
+// the paper's Sections 3-5 rest on. DESIGN.md Section 11 has the rule
+// catalog.
 //
 //   t1000-verify input.{s,obj} [--selector S] [...]   one program
 //   t1000-verify --workloads   [--selector S] [...]   every bundled workload
@@ -65,14 +66,11 @@ Json job_json(const VerifyJob& job, const VerifyReport& report) {
 void print_job(const VerifyJob& job, const VerifyReport& report) {
   const VerifyStats& s = report.stats;
   std::printf(
-      "%s [%.*s]: %s (%d config(s), %d app(s); equivalence: %d structural, "
-      "%d exhaustive, %d sampled, %llu evaluation(s); translation: %d "
-      "proven) in %.1f ms\n",
+      "%s [%.*s]: %s (%d config(s), %d app(s); translation: %d proven) in "
+      "%.1f ms\n",
       job.name.c_str(), static_cast<int>(selector_name(job.selector).size()),
       selector_name(job.selector).data(), report.summary().c_str(), s.configs,
-      s.apps, s.equiv_structural, s.equiv_exhaustive, s.equiv_sampled,
-      static_cast<unsigned long long>(s.equiv_evals), s.translation_proven,
-      report.timing.total_ms);
+      s.apps, s.translation_proven, report.timing.total_ms);
   for (const Diagnostic& d : report.diagnostics) {
     std::fprintf(stderr, "  %.*s: %s @ %s: %s\n",
                  static_cast<int>(severity_name(d.severity).size()),
@@ -110,10 +108,10 @@ int main(int argc, char** argv) {
   long max_outputs = 1;
   parser.add_int("--max-inputs", "N",
                  "candidate shape: external register inputs (default: 2)",
-                 &max_inputs);
+                 &max_inputs, 1, kMaxExtInputs);
   parser.add_int("--max-outputs", "N",
                  "candidate shape: register outputs (default: 1)",
-                 &max_outputs);
+                 &max_outputs, 1, kMaxExtOutputs);
   parser.add_flag("--pedantic",
                   "report profile-only width reliance as warnings",
                   &pedantic);
