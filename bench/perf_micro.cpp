@@ -277,10 +277,9 @@ void BM_ValidateRewrite(benchmark::State& state) {
   const AnalyzedProgram ap = analyze_program(p, 1u << 24);
   const Selection sel = select_greedy(ap);
   const RewriteResult rr = rewrite_program(p, sel.apps);
-  const VerifyOptions options;
   for (auto _ : state) {
     VerifyReport report;
-    check_translation(ap, sel, rr, options, report);
+    check_translation(ap, sel, rr, report);
     benchmark::DoNotOptimize(report);
   }
 }

@@ -612,9 +612,7 @@ void check_dead_kills(const Program& baseline, const RewriteResult& rewrite,
 }  // namespace
 
 void check_translation(const AnalyzedProgram& ap, const Selection& selection,
-                       const RewriteResult& rewrite,
-                       const VerifyOptions& options, VerifyReport& report) {
-  (void)options;  // shape limits are enforced by the legality phase
+                       const RewriteResult& rewrite, VerifyReport& report) {
   const Program& baseline = *ap.program;
 
   const bool map_ok = check_map(baseline, rewrite, report);

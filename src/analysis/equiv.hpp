@@ -82,7 +82,6 @@ class SymbolicPool {
 // against the baseline `ap`, appending diagnostics to `report` and bumping
 // report.stats.translation_proven per symbolically proven application.
 void check_translation(const AnalyzedProgram& ap, const Selection& selection,
-                       const RewriteResult& rewrite,
-                       const VerifyOptions& options, VerifyReport& report);
+                       const RewriteResult& rewrite, VerifyReport& report);
 
 }  // namespace t1000

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "cfg/cfg.hpp"
 #include "isa/alu.hpp"
 #include "isa/instruction.hpp"
 #include "isa/opcode.hpp"
@@ -138,37 +137,6 @@ void check_uop(const Uop& u, const Instruction& ins, std::size_t i,
   }
 }
 
-void check_segments(const UopProgram& ucode, VerifyReport& report) {
-  const Program& program = *ucode.program;
-  if (program.size() == 0) {
-    if (!ucode.segments.empty()) {
-      emit(report, "ucode.segments", "segment 0",
-           "empty program carries " + std::to_string(ucode.segments.size()) +
-               " segments");
-    }
-    return;
-  }
-  const Cfg cfg = Cfg::build(program);
-  if (static_cast<int>(ucode.segments.size()) != cfg.num_blocks()) {
-    emit(report, "ucode.segments", "segment table",
-         std::to_string(ucode.segments.size()) + " segments for " +
-             std::to_string(cfg.num_blocks()) + " basic blocks");
-    return;
-  }
-  for (std::size_t s = 0; s < ucode.segments.size(); ++s) {
-    const UopSegment& seg = ucode.segments[s];
-    const BasicBlock& bb = cfg.blocks()[s];
-    if (seg.block != bb.id || seg.first != bb.first || seg.last != bb.last) {
-      emit(report, "ucode.segments", "segment " + std::to_string(s),
-           "segment b" + std::to_string(seg.block) + " [" +
-               std::to_string(seg.first) + ".." + std::to_string(seg.last) +
-               "] does not mirror block b" + std::to_string(bb.id) + " [" +
-               std::to_string(bb.first) + ".." + std::to_string(bb.last) +
-               "]");
-    }
-  }
-}
-
 }  // namespace
 
 void check_ucode(const UopProgram& ucode, VerifyReport& report) {
@@ -197,7 +165,6 @@ void check_ucode(const UopProgram& ucode, VerifyReport& report) {
   for (std::size_t i = 0; i < program.text.size(); ++i) {
     check_uop(ucode.uops[i], program.text[i], i, size, ucode.table, report);
   }
-  check_segments(ucode, report);
 }
 
 VerifyReport verify_ucode(const UopProgram& ucode) {

@@ -3,10 +3,10 @@
 //
 // The pre-decoded interpreter is the default functional path, so a decoder
 // bug would silently corrupt every trace, profile, and checksum downstream.
-// This pass re-derives what each decoded segment *must* look like from the
+// This pass re-derives what each decoded uop *must* look like from the
 // instruction fields alone — mirror kind, flattened registers, resolved
-// immediates, rewritten control targets, sentinel placement, basic-block
-// segment table — and diagnoses any drift:
+// immediates, rewritten control targets, sentinel placement — and
+// diagnoses any drift:
 //
 //  * ucode.stream-size — stream length is program size + 1 (the sentinel);
 //  * ucode.sentinel    — the sentinel sits exactly at offset size();
@@ -20,9 +20,7 @@
 //    precomputed, load/store displacements verbatim, EXT Conf ids bound;
 //  * ucode.target      — control targets equal the instruction target and
 //    stay inside [0, size];
-//  * ucode.ext         — EXT uops resolve against a present table;
-//  * ucode.segments    — the segment table mirrors Cfg::build block for
-//    block (id, first, last).
+//  * ucode.ext         — EXT uops resolve against a present table.
 //
 // verify_module() runs the family on every well-formed module (building
 // the decoded form on the fly), so `t1000-verify` and the harness's

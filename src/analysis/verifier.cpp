@@ -138,9 +138,9 @@ void check_defs_before_uses(const Program& program, const Cfg& cfg,
 }
 
 // ---------------------------------------------------------------------------
-// Per-application legality: recompute the micro-program, inputs, and output
-// of an application from the *original* program text, independently of the
-// extractor's SeqSite bookkeeping.
+// Per-application legality: check the members and recompute the inputs and
+// outputs of an application from the *original* program text, independently
+// of the extractor's SeqSite bookkeeping.
 
 struct ExternalInput {
   Reg reg = 0;
@@ -148,15 +148,13 @@ struct ExternalInput {
 };
 
 struct Recomputed {
-  bool usable = false;  // micro-program and I/O recomputed without errors
-  std::vector<ExternalInput> externals;  // slot order (<= options.max_inputs)
-  Reg output = 0;
+  bool usable = false;  // members and I/O recomputed without errors
+  std::vector<ExternalInput> externals;  // slot order (<= max_inputs)
   // Required extra outputs: intermediates whose value stays architecturally
   // visible past the landing point, in member order.
   std::vector<Reg> extra_outputs;
   int width = 1;  // widest profiled input (applied to every port)
   std::int32_t landing = -1;
-  int block = -1;
 
   std::array<int, 2> lut_widths() const { return {width, width}; }
 };
@@ -172,10 +170,10 @@ std::int32_t last_writer_before(const Program& program,
 }
 
 Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
-                         std::size_t app_index, const VerifyOptions& options,
-                         VerifyReport& report) {
+                         std::size_t app_index, VerifyReport& report) {
   Recomputed rc;
   const Program& program = *ap.program;
+  const ExtractPolicy& shape = ap.extract;
   const std::string loc = app_loc(app.conf, app_index);
   const int n_members = static_cast<int>(app.positions.size());
 
@@ -197,27 +195,24 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
       return rc;
     }
   }
-  rc.block = ap.cfg.block_of(app.positions[0]);
+  const int block = ap.cfg.block_of(app.positions[0]);
   rc.landing = app.positions.back();
   for (const std::int32_t p : app.positions) {
-    if (ap.cfg.block_of(p) != rc.block) {
+    if (ap.cfg.block_of(p) != block) {
       emit(report, Severity::kError, "rw.positions", loc,
-           "positions span basic blocks (" + std::to_string(rc.block) +
+           "positions span basic blocks (" + std::to_string(block) +
                " and " + std::to_string(ap.cfg.block_of(p)) + ")");
       return rc;
     }
   }
-  if (n_members < options.min_length || n_members > options.max_length) {
+  if (n_members < shape.min_length || n_members > shape.max_length) {
     emit(report, Severity::kError, "ext.length", loc,
          "sequence length " + std::to_string(n_members) + " outside [" +
-             std::to_string(options.min_length) + ", " +
-             std::to_string(options.max_length) + "]");
+             std::to_string(shape.min_length) + ", " +
+             std::to_string(shape.max_length) + "]");
   }
 
-  const std::int32_t block_first = ap.cfg.block(rc.block).first;
-  const int max_inputs = std::clamp(options.max_inputs, 1, kMaxExtInputs);
-  const int max_outputs = std::clamp(options.max_outputs, 1, kMaxExtOutputs);
-  std::vector<std::int8_t> slot_of_pos;  // parallel to app.positions
+  const std::int32_t block_first = ap.cfg.block(block).first;
   auto member_index_of = [&](std::int32_t q) {
     const auto it = std::lower_bound(app.positions.begin(),
                                      app.positions.end(), q);
@@ -227,12 +222,9 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
     return -1;
   };
 
-  // Slot assignment is two-phase: input slots precede member slots, but the
-  // member base (max(2, input count)) is only known after the scan. Member
-  // values are recorded as kMemberBias + index and materialized below.
-  constexpr std::int8_t kMemberBias = 64;
+  // Sources are scanned only while every member so far is valid, so a
+  // value produced inside the window always comes from a valid member.
   bool member_errors = false;
-  std::vector<MicroOp> uops;
   for (int m = 0; m < n_members; ++m) {
     const std::int32_t p = app.positions[static_cast<std::size_t>(m)];
     const Instruction& ins = program.text[static_cast<std::size_t>(p)];
@@ -241,49 +233,36 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
            "member at " + pos_loc(p) + " is '" + to_string(ins) +
                "': opcode is not PFU-eligible");
       member_errors = true;
-      slot_of_pos.push_back(-1);
       continue;
     }
-    const auto dst = dst_reg(ins);
-    if (!dst) {
+    if (!dst_reg(ins)) {
       emit(report, Severity::kError, "ext.output", loc,
            "member at " + pos_loc(p) + " produces no register result");
       member_errors = true;
-      slot_of_pos.push_back(-1);
       continue;
     }
     const InstProfile& ip = ap.profile.at(p);
-    if (ip.max_src_width > options.max_width ||
-        ip.max_result_width > options.max_width) {
+    if (ip.max_src_width > shape.max_width ||
+        ip.max_result_width > shape.max_width) {
       emit(report, Severity::kError, "ext.width", loc,
            "member at " + pos_loc(p) + " profiled at " +
                std::to_string(std::max(ip.max_src_width,
                                        ip.max_result_width)) +
-               " bits, over the " + std::to_string(options.max_width) +
+               " bits, over the " + std::to_string(shape.max_width) +
                "-bit ceiling");
       member_errors = true;
     }
     rc.width = std::max(rc.width, ip.max_src_width);
 
-    MicroOp u;
-    u.op = ins.op;
-    u.imm = ins.imm;
-    u.dst = static_cast<std::int8_t>(kMemberBias + m);
     const SrcRegs srcs = src_regs(ins);
-    std::int8_t slots[2] = {-1, -1};
     for (int s = 0; s < srcs.count && !member_errors; ++s) {
       const Reg r = srcs.reg[s];
       const std::int32_t def = last_writer_before(program, block_first, p, r);
-      const int dm = def >= 0 ? member_index_of(def) : -1;
-      if (dm >= 0) {
-        slots[s] = slot_of_pos[static_cast<std::size_t>(dm)];
-        if (slots[s] < 0) member_errors = true;  // producer already invalid
-        continue;
-      }
+      if (def >= 0 && member_index_of(def) >= 0) continue;  // a member's value
       // External value. Intern by register in first-use order (mirrors
       // window_view's slot assignment); the same register reached through
       // two different in-block definitions is not one external value.
-      int slot = -1;
+      bool interned = false;
       for (std::size_t e = 0; e < rc.externals.size(); ++e) {
         if (rc.externals[e].reg != r) continue;
         if (rc.externals[e].def_pos != def) {
@@ -294,56 +273,32 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
                    std::to_string(def) + ")");
           member_errors = true;
         }
-        slot = static_cast<int>(e);
+        interned = true;
         break;
       }
-      if (slot < 0 && !member_errors) {
-        if (static_cast<int>(rc.externals.size()) == max_inputs) {
+      if (!interned && !member_errors) {
+        if (static_cast<int>(rc.externals.size()) == shape.max_inputs) {
           std::string have;
           for (const ExternalInput& e : rc.externals) {
             have += std::string(reg_name(e.reg)) + ", ";
           }
           emit(report, Severity::kError, "ext.inputs", loc,
-               "more than " + std::to_string(max_inputs) +
+               "more than " + std::to_string(shape.max_inputs) +
                    " external register inputs (" + have +
                    std::string(reg_name(r)) + ")");
           member_errors = true;
         } else {
-          slot = static_cast<int>(rc.externals.size());
           rc.externals.push_back(ExternalInput{r, def});
         }
       }
-      slots[s] = static_cast<std::int8_t>(slot);
     }
-    u.a = slots[0];
-    u.b = slots[1];
-    slot_of_pos.push_back(u.dst);
-    uops.push_back(u);
   }
-  rc.output = app.output;
   if (member_errors) return rc;
-
-  // Materialize member slots now that the input count is final.
-  const int n_in = static_cast<int>(rc.externals.size());
-  const auto base = static_cast<std::int8_t>(n_in > 2 ? n_in : 2);
-  auto resolve = [base](std::int8_t v) {
-    return v >= kMemberBias ? static_cast<std::int8_t>(base + (v - kMemberBias))
-                            : v;
-  };
-  for (MicroOp& u : uops) {
-    u.dst = resolve(u.dst);
-    u.a = resolve(u.a);
-    u.b = resolve(u.b);
-  }
-
-  rc.output = *dst_reg(program.text[static_cast<std::size_t>(rc.landing)]);
 
   // Output constraint: every intermediate value must either die inside the
   // window or surface as an extra EXT output within the shape budget. A
   // non-member reading it mid-window is always fatal (after the rewrite the
   // value only materializes at the landing point).
-  std::vector<std::int8_t> out_slots{
-      static_cast<std::int8_t>(base + (n_members - 1))};
   bool output_errors = false;
   for (int m = 0; m + 1 < n_members; ++m) {
     const std::int32_t p = app.positions[static_cast<std::size_t>(m)];
@@ -364,28 +319,26 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
         !ap.liveness.live_after(program, ap.cfg, rc.landing).test(d)) {
       continue;  // the value dies inside the window: no output needed
     }
-    if (static_cast<int>(out_slots.size()) == max_outputs) {
+    // The primary output takes the first port.
+    if (1 + static_cast<int>(rc.extra_outputs.size()) == shape.max_outputs) {
       emit(report, Severity::kError, "ext.output", loc,
            "intermediate " + std::string(reg_name(d)) + " (def at " +
                pos_loc(p) + ") is live after the landing point and no " +
                "output port is left (shape allows " +
-               std::to_string(max_outputs) + ")");
+               std::to_string(shape.max_outputs) + ")");
       output_errors = true;
       continue;
     }
-    out_slots.push_back(static_cast<std::int8_t>(base + m));
     rc.extra_outputs.push_back(d);
   }
 
-  // Constructing the definition validates the recomputed micro-program
-  // (for instance, more members than one PFU configuration holds).
-  try {
-    (void)ExtInstDef(n_in, std::move(uops), std::move(out_slots));
-  } catch (const std::exception& e) {
+  // With every member valid and the shape validated, the one way the
+  // recomputed micro-program is not a PFU configuration is its length.
+  if (n_members > kMaxUops) {
     emit(report, Severity::kError, "ext.opcode-class", loc,
-         std::string("recomputed micro-program is not a valid PFU "
-                     "configuration: ") +
-             e.what());
+         "recomputed micro-program is not a valid PFU configuration: "
+         "ExtInstDef: 1.." +
+             std::to_string(kMaxUops) + " micro-ops required");
     return rc;
   }
   rc.usable = !output_errors;
@@ -412,9 +365,11 @@ Recomputed recompute_app(const AnalyzedProgram& ap, const Application& app,
       }
     }
   }
-  if (rc.output != app.output) {
+  const Reg output =
+      *dst_reg(program.text[static_cast<std::size_t>(rc.landing)]);
+  if (output != app.output) {
     emit(report, Severity::kError, "ext.output", loc,
-         "output is " + std::string(reg_name(rc.output)) +
+         "output is " + std::string(reg_name(output)) +
              " in the program but " + std::string(reg_name(app.output)) +
              " in the application");
     rc.usable = false;
@@ -489,6 +444,7 @@ void audit_widths(const AnalyzedProgram& ap, const Application& app,
                   const VerifyOptions& options, VerifyReport& report,
                   std::set<std::string>& seen_audit) {
   const Program& program = *ap.program;
+  const int max_width = ap.extract.max_width;
   for (std::size_t e = 0; e < rc.externals.size(); ++e) {
     const ExternalInput& ext = rc.externals[e];
     if (ext.reg == kRegZero) {
@@ -500,7 +456,7 @@ void audit_widths(const AnalyzedProgram& ap, const Application& app,
             ? static_result_width(
                   program.text[static_cast<std::size_t>(ext.def_pos)])
             : 32;
-    if (bound <= options.max_width) {
+    if (bound <= max_width) {
       ++report.stats.width_static_proven;
       continue;
     }
@@ -515,8 +471,7 @@ void audit_widths(const AnalyzedProgram& ap, const Application& app,
                                             .text[static_cast<std::size_t>(
                                                 ext.def_pos)]
                                             .op)) +
-                   "') has no static bound <= " +
-                   std::to_string(options.max_width)
+                   "') has no static bound <= " + std::to_string(max_width)
              : "defined outside the block, no static bound");
     if (seen_audit.insert(entry).second) {
       report.width_audit.push_back(entry);
@@ -534,12 +489,7 @@ void audit_widths(const AnalyzedProgram& ap, const Application& app,
 
 VerifyOptions verify_options_for(const SelectPolicy& policy) {
   VerifyOptions options;
-  options.max_width = policy.extract.max_width;
-  options.min_length = policy.extract.min_length;
-  options.max_length = policy.extract.max_length;
   options.lut_budget = policy.lut_budget;
-  options.max_inputs = policy.extract.max_inputs;
-  options.max_outputs = policy.extract.max_outputs;
   return options;
 }
 
@@ -610,7 +560,7 @@ VerifyReport verify_selection(const AnalyzedProgram& ap,
              pos_loc(p) + " is covered by more than one application");
       }
     }
-    recomputed.push_back(recompute_app(ap, app, i, options, report));
+    recomputed.push_back(recompute_app(ap, app, i, report));
     const Recomputed& rc = recomputed.back();
 
     if (app.conf >= static_cast<ConfId>(selection.table.size())) {
@@ -700,7 +650,7 @@ VerifyReport verify_selection(const AnalyzedProgram& ap,
   // legality recomputation above. Its `equiv.symbolic` rule is the one
   // proof that each EXT computes its member chain's function.
   const auto start_translation = Clock::now();
-  check_translation(ap, selection, rewrite, options, report);
+  check_translation(ap, selection, rewrite, report);
   report.timing.translation_ms = ms_since(start_translation);
 
   report.timing.total_ms = ms_since(start_total);

@@ -39,25 +39,20 @@
 
 namespace t1000 {
 
+// The candidate shape an application is held to — width ceiling, length
+// range, inputs and outputs — is the one the program was analyzed under
+// (AnalyzedProgram::extract, validated by analyze_program); only what
+// selection adds is an option here.
 struct VerifyOptions {
-  int max_width = 18;       // operand/result significant-bit ceiling (§4)
-  int min_length = 2;       // shortest legal fused sequence
-  int max_length = kMaxUops;
   int lut_budget = 150;     // PFU capacity (§6, Figure 7)
-  // Candidate shape the selection was extracted under (paper defaults:
-  // 2-in/1-out). Applications may bind at most this many external register
-  // inputs / register outputs; the ISA ceiling (kMaxExtInputs /
-  // kMaxExtOutputs) bounds both.
-  int max_inputs = 2;
-  int max_outputs = 1;
   // Promote width-audit entries (profile-only narrowness claims) to
   // `width.profile-only` warnings.
   bool pedantic = false;
 };
 
 // Derives VerifyOptions from the selection policy a run was compiled
-// under, so the verifier holds the pipeline to the thresholds it actually
-// used rather than the paper defaults.
+// under, so the verifier holds the pipeline to the LUT budget it actually
+// used rather than the paper default.
 VerifyOptions verify_options_for(const SelectPolicy& policy);
 
 // Module-level well-formedness only (`wf.*` rules): any program, with or

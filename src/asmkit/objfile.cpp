@@ -1,5 +1,6 @@
 #include "asmkit/objfile.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -12,6 +13,10 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x314B3154;  // "T1K1"
 constexpr std::uint32_t kVersion = 1;
+// The header's counts are claims: text words and data bytes are read one
+// at a time into buffers reserved for at most this many, so a short file
+// ends in "truncated object file", not a multi-gigabyte allocation.
+constexpr std::size_t kMaxReserve = std::size_t{1} << 16;
 
 void put_u32(std::ostream& os, std::uint32_t v) {
   char buf[4];
@@ -114,16 +119,25 @@ LoadedObject load_object(std::istream& is) {
 
   LoadedObject obj;
   std::vector<std::uint32_t> words;
-  words.reserve(n_text);
+  words.reserve(std::min<std::size_t>(n_text, kMaxReserve));
   for (std::uint32_t i = 0; i < n_text; ++i) words.push_back(get_u32(is));
   obj.program = decode_text(words);
-  obj.program.data.resize(n_data);
-  is.read(reinterpret_cast<char*>(obj.program.data.data()),
-          static_cast<std::streamsize>(n_data));
-  if (!is) throw ObjError("truncated object file");
+  std::vector<std::uint8_t>& data = obj.program.data;
+  data.reserve(std::min<std::size_t>(n_data, kMaxReserve));
+  for (std::uint32_t i = 0; i < n_data; ++i) data.push_back(get_u8(is));
+  // A text symbol is an instruction index (the executor starts at `main`,
+  // the CFG takes every symbol as a block leader): [0, size] is the range
+  // the verifier's wf.text-symbol rule accepts.
+  const int size = obj.program.size();
   for (std::uint32_t i = 0; i < n_tsym; ++i) {
     const std::string name = get_string(is);
-    obj.program.text_symbols[name] = get_i32(is);
+    const std::int32_t index = get_i32(is);
+    if (index < 0 || index > size) {
+      throw ObjError("text symbol '" + name + "' index " +
+                     std::to_string(index) + " outside [0, " +
+                     std::to_string(size) + "]");
+    }
+    obj.program.text_symbols[name] = index;
   }
   for (std::uint32_t i = 0; i < n_dsym; ++i) {
     const std::string name = get_string(is);

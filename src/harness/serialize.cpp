@@ -10,12 +10,50 @@
 namespace t1000 {
 namespace {
 
-std::vector<int> int_vector_from_json(const Json& j) {
+// A member whose value its field cannot take, named by its path below the
+// machine or policy object ("dl1.size_bytes", as validate(MachineConfig)
+// names it). Readers of an enclosing object prefix their key on the way
+// out, so a path is only built for a request that fails.
+class MemberError : public JsonError {
+ public:
+  MemberError(std::string path, std::string detail)
+      : JsonError("member \"" + path + "\" " + detail),
+        path_(std::move(path)),
+        detail_(std::move(detail)) {}
+  MemberError under(std::string_view key) const {
+    return {std::string(key) + "." + path_, detail_};
+  }
+
+ private:
+  std::string path_, detail_;
+};
+
+// The integer value of member `key`, checked against T's range: a cast
+// would wrap it, and the request would run a machine nobody asked for.
+template <typename T>
+T checked_int(const Json& v, std::string_view key) {
+  const auto range = [] {
+    return "[" + std::to_string(std::numeric_limits<T>::min()) + ", " +
+           std::to_string(std::numeric_limits<T>::max()) + "]";
+  };
+  std::int64_t value = 0;
+  try {
+    value = v.as_int();
+  } catch (const JsonError& e) {
+    throw MemberError(std::string(key), "must be an integer in " + range() +
+                                            " (" + e.what() + ")");
+  }
+  if (!std::in_range<T>(value)) {
+    throw MemberError(std::string(key), "must be in " + range() + " (got " +
+                                            std::to_string(value) + ")");
+  }
+  return static_cast<T>(value);
+}
+
+std::vector<int> int_vector_from_json(const Json& j, std::string_view key) {
   std::vector<int> out;
   out.reserve(j.size());
-  for (const Json& v : j.items()) {
-    out.push_back(static_cast<int>(v.as_int()));
-  }
+  for (const Json& v : j.items()) out.push_back(checked_int<int>(v, key));
   return out;
 }
 
@@ -41,21 +79,23 @@ void reject_unknown_members(const Json& j, const char* context,
   }
 }
 
-// Reads integer member `key` into a field of type T. A value T cannot hold
-// is an error naming the member: a cast would wrap it, and the request
-// would run a machine nobody asked for.
 template <typename T>
 void read_int(const Json& j, std::string_view key, T* out) {
+  if (const Json* v = j.find(key)) *out = checked_int<T>(*v, key);
+}
+
+// Reads nested object `key` over *out with `from_json`; a member error
+// inside it is named by its path from here.
+template <typename T>
+void read_object(const Json& j, std::string_view key, T* out,
+                 T (*from_json)(const Json&, T)) {
   const Json* v = j.find(key);
   if (v == nullptr) return;
-  const std::int64_t value = v->as_int();
-  if (!std::in_range<T>(value)) {
-    throw JsonError("member \"" + std::string(key) + "\" must be in [" +
-                    std::to_string(std::numeric_limits<T>::min()) + ", " +
-                    std::to_string(std::numeric_limits<T>::max()) +
-                    "] (got " + std::to_string(value) + ")");
+  try {
+    *out = from_json(*v, *out);
+  } catch (const MemberError& e) {
+    throw e.under(key);
   }
-  *out = static_cast<T>(value);
 }
 
 void read_bool(const Json& j, std::string_view key, bool* out) {
@@ -355,16 +395,14 @@ MachineConfig machine_config_from_json(const Json& j) {
   read_int(j, "int_mults", &c.int_mults);
   read_int(j, "mem_ports", &c.mem_ports);
   read_int(j, "max_outstanding_misses", &c.max_outstanding_misses);
-  if (const Json* v = j.find("il1")) c.il1 = cache_config_from_json(*v, c.il1);
-  if (const Json* v = j.find("dl1")) c.dl1 = cache_config_from_json(*v, c.dl1);
-  if (const Json* v = j.find("l2")) c.l2 = cache_config_from_json(*v, c.l2);
+  read_object(j, "il1", &c.il1, cache_config_from_json);
+  read_object(j, "dl1", &c.dl1, cache_config_from_json);
+  read_object(j, "l2", &c.l2, cache_config_from_json);
   read_int(j, "memory_latency", &c.memory_latency);
-  if (const Json* v = j.find("itlb")) c.itlb = tlb_config_from_json(*v, c.itlb);
-  if (const Json* v = j.find("dtlb")) c.dtlb = tlb_config_from_json(*v, c.dtlb);
-  if (const Json* v = j.find("pfu")) c.pfu = pfu_config_from_json(*v, c.pfu);
-  if (const Json* v = j.find("branch")) {
-    c.branch = branch_predictor_config_from_json(*v, c.branch);
-  }
+  read_object(j, "itlb", &c.itlb, tlb_config_from_json);
+  read_object(j, "dtlb", &c.dtlb, tlb_config_from_json);
+  read_object(j, "pfu", &c.pfu, pfu_config_from_json);
+  read_object(j, "branch", &c.branch, branch_predictor_config_from_json);
   if (const std::string bad = validate(c); !bad.empty()) {
     throw JsonError("machine config: " + bad);
   }
@@ -396,9 +434,7 @@ SelectPolicy select_policy_from_json(const Json& j) {
   read_double(j, "time_threshold", &p.time_threshold);
   read_int(j, "lut_budget", &p.lut_budget);
   read_bool(j, "use_subsequence_matrix", &p.use_subsequence_matrix);
-  if (const Json* v = j.find("extract")) {
-    p.extract = extract_policy_from_json(*v, p.extract);
-  }
+  read_object(j, "extract", &p.extract, extract_policy_from_json);
   return p;
 }
 
@@ -482,11 +518,11 @@ StallBreakdown stall_breakdown_from_json(const Json& j) {
 RunOutcome run_outcome_from_json(const Json& j) {
   RunOutcome out;
   out.stats = sim_stats_from_json(j.at("stats"));
-  out.num_configs = static_cast<int>(j.at("num_configs").as_int());
-  out.num_apps = static_cast<int>(j.at("num_apps").as_int());
-  out.lengths = int_vector_from_json(j.at("lengths"));
-  out.lut_costs = int_vector_from_json(j.at("lut_costs"));
-  out.checksum = static_cast<std::uint32_t>(j.at("checksum").as_uint());
+  out.num_configs = checked_int<int>(j.at("num_configs"), "num_configs");
+  out.num_apps = checked_int<int>(j.at("num_apps"), "num_apps");
+  out.lengths = int_vector_from_json(j.at("lengths"), "lengths");
+  out.lut_costs = int_vector_from_json(j.at("lut_costs"), "lut_costs");
+  out.checksum = checked_int<std::uint32_t>(j.at("checksum"), "checksum");
   out.trace_steps = j.at("trace_steps").as_uint();
   out.trace_hash = std::stoull(j.at("trace_hash").as_string(), nullptr, 16);
   if (const Json* stalls = j.find("stalls")) {

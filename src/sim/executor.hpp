@@ -32,8 +32,7 @@ class SimError : public std::runtime_error {
 //
 //  * kUcode (the default): the pre-decoded threaded-code interpreter
 //    (sim/ucode.hpp) — the program is lowered to a dense uop stream once
-//    at construction and dispatched via computed goto (or the portable
-//    switch behind T1000_NO_COMPUTED_GOTO).
+//    at construction and dispatched via computed goto.
 //  * kReference: the original instruction-by-instruction interpreter,
 //    kept as the executable specification. The differential and fuzz
 //    suites (tests/sim/ucode_*_test.cpp) pin the two byte-identical.

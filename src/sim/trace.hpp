@@ -218,6 +218,12 @@ class TraceWriter {
   unsigned num_bits_ = 0;
 };
 
+// The functional step bound of the tools (t1000-sim, t1000-run, t1000-opt,
+// t1000-verify) and the cap on simulate()'s trace-less recording: a
+// program that does not halt within it is a SimError, not a recording that
+// grows until memory runs out.
+inline constexpr std::uint64_t kDefaultStepBound = std::uint64_t{1} << 26;
+
 // Runs `program` to completion on a fresh Executor and records the
 // committed stream. Throws SimError when the program does not halt within
 // `max_steps` (mirroring the harness's functional-run bound). The default

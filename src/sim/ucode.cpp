@@ -8,20 +8,16 @@
 #include <type_traits>
 #include <vector>
 
-#include "cfg/cfg.hpp"
 #include "isa/alu.hpp"
 #include "sim/executor.hpp"
 #include "sim/profiler.hpp"
 #include "sim/trace.hpp"
 
-// Dispatch scheme selection. Computed goto (a GCC/Clang extension) keeps
-// one indirect branch per handler, which lets the host branch predictor
-// learn per-uop successor patterns; the portable switch is semantically
-// identical and pinned byte-identical by CI (T1000_NO_COMPUTED_GOTO).
-#if !defined(T1000_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define T1000_UCODE_COMPUTED_GOTO 1
-#else
-#define T1000_UCODE_COMPUTED_GOTO 0
+// The dispatch loop is computed goto: one indirect branch per handler,
+// which lets the host branch predictor learn per-uop successor patterns.
+// Labels as values are a GCC/Clang extension; there is no fallback loop.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the uop interpreter needs labels as values (GCC or Clang)"
 #endif
 
 namespace t1000 {
@@ -148,35 +144,20 @@ UopProgram UopProgram::build(const Program& program,
   Uop sentinel;
   sentinel.kind = UopKind::kSentinel;
   up.uops.push_back(sentinel);
-  if (size > 0) {
-    const Cfg cfg = Cfg::build(program);
-    up.segments.reserve(static_cast<std::size_t>(cfg.num_blocks()));
-    for (const BasicBlock& bb : cfg.blocks()) {
-      up.segments.push_back(UopSegment{bb.id, bb.first, bb.last});
-    }
-  }
   return up;
 }
 
 std::string disassemble(const UopProgram& ucode) {
   std::string out;
   char line[128];
-  auto emit = [&out, &line](int n) { out.append(line, static_cast<std::size_t>(n)); };
-  std::size_t seg = 0;
   for (std::size_t i = 0; i < ucode.uops.size(); ++i) {
-    while (seg < ucode.segments.size() &&
-           ucode.segments[seg].first == static_cast<std::int32_t>(i)) {
-      const UopSegment& s = ucode.segments[seg];
-      emit(std::snprintf(line, sizeof line, "segment b%d [%d..%d]\n", s.block,
-                         s.first, s.last));
-      ++seg;
-    }
     const Uop& u = ucode.uops[i];
-    emit(std::snprintf(line, sizeof line,
-                       "  %4zu: %-8s rd=%-2u rs=%-2u rt=%-2u imm=%-11d "
-                       "target=%d\n",
-                       i, std::string(uop_kind_name(u.kind)).c_str(), u.rd,
-                       u.rs, u.rt, u.imm, u.target));
+    const int n = std::snprintf(
+        line, sizeof line,
+        "  %4zu: %-8s rd=%-2u rs=%-2u rt=%-2u imm=%-11d target=%d\n", i,
+        std::string(uop_kind_name(u.kind)).c_str(), u.rd, u.rs, u.rt, u.imm,
+        u.target);
+    out.append(line, static_cast<std::size_t>(n));
   }
   return out;
 }
@@ -438,7 +419,6 @@ struct UcodeImpl {
 
     const Uop* u = nullptr;
     try {
-#if T1000_UCODE_COMPUTED_GOTO
       static const void* const kLabels[kNumUopKinds] = {
           &&op_Addu,  &&op_Subu,  &&op_And,   &&op_Or,     &&op_Xor,
           &&op_Nor,   &&op_Slt,   &&op_Sltu,  &&op_Sllv,   &&op_Srlv,
@@ -451,7 +431,6 @@ struct UcodeImpl {
           &&op_Nop,   &&op_Halt,  &&op_Ext,   &&op_Sentinel,
           &&op_Interp,
       };
-#define T1000_OP(name) op_##name:
 #define T1000_NEXT()                                          \
   do {                                                        \
     if (!cur.begin(steps)) goto loop_done;                    \
@@ -459,20 +438,12 @@ struct UcodeImpl {
     goto* kLabels[static_cast<std::size_t>(u->kind)];         \
   } while (0)
       T1000_NEXT();
-#else
-#define T1000_OP(name) case UopKind::k##name:
-#define T1000_NEXT() continue
-      for (;;) {
-        if (!cur.begin(steps)) goto loop_done;
-        u = uops + pc;
-        switch (u->kind) {
-#endif
 
 // rd <- rs op rt. `has_result` is reported even for an $zero destination
 // (write_dst in the reference sets it before set_reg drops the write);
 // the regs[0] = 0 restore keeps the hardwired zero.
 #define T1000_ALU3(name, expr)                                        \
-  T1000_OP(name) {                                                    \
+  op_##name: {                                                        \
     const std::uint32_t a = regs[u->rs];                              \
     const std::uint32_t b = regs[u->rt];                              \
     const std::uint32_t v = (expr);                                   \
@@ -485,29 +456,29 @@ struct UcodeImpl {
   }                                                                   \
   T1000_NEXT()
 
-          T1000_ALU3(Addu, a + b);
-          T1000_ALU3(Subu, a - b);
-          T1000_ALU3(And, a & b);
-          T1000_ALU3(Or, a | b);
-          T1000_ALU3(Xor, a ^ b);
-          T1000_ALU3(Nor, ~(a | b));
-          T1000_ALU3(Slt, static_cast<std::int32_t>(a) <
-                                  static_cast<std::int32_t>(b)
-                              ? 1u
-                              : 0u);
-          T1000_ALU3(Sltu, a < b ? 1u : 0u);
-          T1000_ALU3(Sllv, a << (b & 31));
-          T1000_ALU3(Srlv, a >> (b & 31));
-          T1000_ALU3(Srav, static_cast<std::uint32_t>(
-                               static_cast<std::int32_t>(a) >> (b & 31)));
-          T1000_ALU3(Mul, a * b);
+      T1000_ALU3(Addu, a + b);
+      T1000_ALU3(Subu, a - b);
+      T1000_ALU3(And, a & b);
+      T1000_ALU3(Or, a | b);
+      T1000_ALU3(Xor, a ^ b);
+      T1000_ALU3(Nor, ~(a | b));
+      T1000_ALU3(Slt, static_cast<std::int32_t>(a) <
+                              static_cast<std::int32_t>(b)
+                          ? 1u
+                          : 0u);
+      T1000_ALU3(Sltu, a < b ? 1u : 0u);
+      T1000_ALU3(Sllv, a << (b & 31));
+      T1000_ALU3(Srlv, a >> (b & 31));
+      T1000_ALU3(Srav, static_cast<std::uint32_t>(
+                           static_cast<std::int32_t>(a) >> (b & 31)));
+      T1000_ALU3(Mul, a * b);
 #undef T1000_ALU3
 
 // rd <- rs op imm, one register source. The decoder pre-extended (or
 // pre-masked) imm, so `b` is ready to use — but the reported operand count
 // is still 1 and src_vals[1] stays 0, matching src_regs().
 #define T1000_ALU_IMM(name, expr)                                     \
-  T1000_OP(name) {                                                    \
+  op_##name: {                                                        \
     const std::uint32_t a = regs[u->rs];                              \
     const std::uint32_t b = static_cast<std::uint32_t>(u->imm);       \
     const std::uint32_t v = (expr);                                   \
@@ -520,37 +491,37 @@ struct UcodeImpl {
   }                                                                   \
   T1000_NEXT()
 
-          T1000_ALU_IMM(Sll, a << (b & 31));
-          T1000_ALU_IMM(Srl, a >> (b & 31));
-          T1000_ALU_IMM(Sra, static_cast<std::uint32_t>(
-                                 static_cast<std::int32_t>(a) >> (b & 31)));
-          T1000_ALU_IMM(Addiu, a + b);
-          T1000_ALU_IMM(Andi, a & b);
-          T1000_ALU_IMM(Ori, a | b);
-          T1000_ALU_IMM(Xori, a ^ b);
-          T1000_ALU_IMM(Slti, static_cast<std::int32_t>(a) <
-                                      static_cast<std::int32_t>(b)
-                                  ? 1u
-                                  : 0u);
-          T1000_ALU_IMM(Sltiu, a < b ? 1u : 0u);
+      T1000_ALU_IMM(Sll, a << (b & 31));
+      T1000_ALU_IMM(Srl, a >> (b & 31));
+      T1000_ALU_IMM(Sra, static_cast<std::uint32_t>(
+                             static_cast<std::int32_t>(a) >> (b & 31)));
+      T1000_ALU_IMM(Addiu, a + b);
+      T1000_ALU_IMM(Andi, a & b);
+      T1000_ALU_IMM(Ori, a | b);
+      T1000_ALU_IMM(Xori, a ^ b);
+      T1000_ALU_IMM(Slti, static_cast<std::int32_t>(a) <
+                                  static_cast<std::int32_t>(b)
+                              ? 1u
+                              : 0u);
+      T1000_ALU_IMM(Sltiu, a < b ? 1u : 0u);
 #undef T1000_ALU_IMM
 
-          T1000_OP(Lui) {
-            const auto v = static_cast<std::uint32_t>(u->imm);
-            regs[u->rd] = v;
-            regs[0] = 0;
-            const std::int32_t idx = pc++;
-            ++steps;
-            cur.commit(kSeq, idx, pc, 0, 0, 0, true, v, false, 0, 0, false,
-                       false);
-          }
-          T1000_NEXT();
+      op_Lui: {
+        const auto v = static_cast<std::uint32_t>(u->imm);
+        regs[u->rd] = v;
+        regs[0] = 0;
+        const std::int32_t idx = pc++;
+        ++steps;
+        cur.commit(kSeq, idx, pc, 0, 0, 0, true, v, false, 0, 0, false,
+                   false);
+      }
+      T1000_NEXT();
 
 // Loads: aligned accesses never cross a 4 KiB page; a misaligned address
 // is bounced to the Memory method purely for its canonical MemError. An
 // absent page reads as zero without allocating (and without caching).
 #define T1000_LOAD(name, bytes, misaligned_probe, read_expr)              \
-  T1000_OP(name) {                                                        \
+  op_##name: {                                                            \
     const std::uint32_t a = regs[u->rs];                                  \
     const std::uint32_t addr = a + static_cast<std::uint32_t>(u->imm);    \
     std::uint32_t v = 0;                                                  \
@@ -571,28 +542,28 @@ struct UcodeImpl {
   }                                                                       \
   T1000_NEXT()
 
-          T1000_LOAD(Lw, 4, mem.load_u32(addr),
-                     static_cast<std::uint32_t>(page[off]) |
-                         static_cast<std::uint32_t>(page[off + 1]) << 8 |
-                         static_cast<std::uint32_t>(page[off + 2]) << 16 |
-                         static_cast<std::uint32_t>(page[off + 3]) << 24);
-          T1000_LOAD(Lh, 2, mem.load_u16(addr),
-                     static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                         static_cast<std::int16_t>(static_cast<std::uint16_t>(
-                             page[off] | page[off + 1] << 8)))));
-          T1000_LOAD(Lhu, 2, mem.load_u16(addr),
-                     static_cast<std::uint32_t>(page[off] |
-                                                page[off + 1] << 8));
-          T1000_LOAD(Lb, 1, (void)0,
-                     static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                         static_cast<std::int8_t>(page[off]))));
-          T1000_LOAD(Lbu, 1, (void)0, static_cast<std::uint32_t>(page[off]));
+      T1000_LOAD(Lw, 4, mem.load_u32(addr),
+                 static_cast<std::uint32_t>(page[off]) |
+                     static_cast<std::uint32_t>(page[off + 1]) << 8 |
+                     static_cast<std::uint32_t>(page[off + 2]) << 16 |
+                     static_cast<std::uint32_t>(page[off + 3]) << 24);
+      T1000_LOAD(Lh, 2, mem.load_u16(addr),
+                 static_cast<std::uint32_t>(static_cast<std::int32_t>(
+                     static_cast<std::int16_t>(static_cast<std::uint16_t>(
+                         page[off] | page[off + 1] << 8)))));
+      T1000_LOAD(Lhu, 2, mem.load_u16(addr),
+                 static_cast<std::uint32_t>(page[off] |
+                                            page[off + 1] << 8));
+      T1000_LOAD(Lb, 1, (void)0,
+                 static_cast<std::uint32_t>(static_cast<std::int32_t>(
+                     static_cast<std::int8_t>(page[off]))));
+      T1000_LOAD(Lbu, 1, (void)0, static_cast<std::uint32_t>(page[off]));
 #undef T1000_LOAD
 
 // Stores: data travels in rt (the second source), matching src_regs()
 // order {rs, rt}.
 #define T1000_STORE(name, bytes, misaligned_probe, write_stmt)            \
-  T1000_OP(name) {                                                        \
+  op_##name: {                                                            \
     const std::uint32_t a = regs[u->rs];                                  \
     const std::uint32_t b = regs[u->rt];                                  \
     const std::uint32_t addr = a + static_cast<std::uint32_t>(u->imm);    \
@@ -609,26 +580,26 @@ struct UcodeImpl {
   }                                                                       \
   T1000_NEXT()
 
-          T1000_STORE(Sw, 4, mem.store_u32(addr, b), {
-            page[off] = static_cast<std::uint8_t>(b);
-            page[off + 1] = static_cast<std::uint8_t>(b >> 8);
-            page[off + 2] = static_cast<std::uint8_t>(b >> 16);
-            page[off + 3] = static_cast<std::uint8_t>(b >> 24);
-          });
-          T1000_STORE(Sh, 2,
-                      mem.store_u16(addr, static_cast<std::uint16_t>(b)), {
-                        page[off] = static_cast<std::uint8_t>(b);
-                        page[off + 1] = static_cast<std::uint8_t>(b >> 8);
-                      });
-          T1000_STORE(Sb, 1, (void)0,
-                      { page[off] = static_cast<std::uint8_t>(b); });
+      T1000_STORE(Sw, 4, mem.store_u32(addr, b), {
+        page[off] = static_cast<std::uint8_t>(b);
+        page[off + 1] = static_cast<std::uint8_t>(b >> 8);
+        page[off + 2] = static_cast<std::uint8_t>(b >> 16);
+        page[off + 3] = static_cast<std::uint8_t>(b >> 24);
+      });
+      T1000_STORE(Sh, 2,
+                  mem.store_u16(addr, static_cast<std::uint16_t>(b)), {
+                    page[off] = static_cast<std::uint8_t>(b);
+                    page[off + 1] = static_cast<std::uint8_t>(b >> 8);
+                  });
+      T1000_STORE(Sb, 1, (void)0,
+                  { page[off] = static_cast<std::uint8_t>(b); });
 #undef T1000_STORE
 
 // Two- and one-source conditional branches. The decoder proved `target`
 // in range, and the untaken successor pc+1 <= size always holds, so no
 // run-time range check remains.
 #define T1000_BRANCH2(name, cond)                                        \
-  T1000_OP(name) {                                                       \
+  op_##name: {                                                           \
     const std::uint32_t a = regs[u->rs];                                 \
     const std::uint32_t b = regs[u->rt];                                 \
     const bool taken = (cond);                                           \
@@ -640,12 +611,12 @@ struct UcodeImpl {
   }                                                                      \
   T1000_NEXT()
 
-          T1000_BRANCH2(Beq, a == b);
-          T1000_BRANCH2(Bne, a != b);
+      T1000_BRANCH2(Beq, a == b);
+      T1000_BRANCH2(Bne, a != b);
 #undef T1000_BRANCH2
 
 #define T1000_BRANCH1(name, cond)                                        \
-  T1000_OP(name) {                                                       \
+  op_##name: {                                                           \
     const std::uint32_t a = regs[u->rs];                                 \
     const auto sa = static_cast<std::int32_t>(a);                        \
     (void)sa;                                                            \
@@ -658,136 +629,129 @@ struct UcodeImpl {
   }                                                                      \
   T1000_NEXT()
 
-          T1000_BRANCH1(Blez, sa <= 0);
-          T1000_BRANCH1(Bgtz, sa > 0);
-          T1000_BRANCH1(Bltz, sa < 0);
-          T1000_BRANCH1(Bgez, sa >= 0);
+      T1000_BRANCH1(Blez, sa <= 0);
+      T1000_BRANCH1(Bgtz, sa > 0);
+      T1000_BRANCH1(Bltz, sa < 0);
+      T1000_BRANCH1(Bgez, sa >= 0);
 #undef T1000_BRANCH1
 
-          T1000_OP(J) {
-            const std::int32_t idx = pc;
-            pc = u->target;
-            ++steps;
-            cur.commit(kJump, idx, pc, 0, 0, 0, false, 0, false, 0, 0, true,
-                       false);
-          }
-          T1000_NEXT();
-
-          T1000_OP(Jal) {
-            const std::uint32_t link =
-                kTextBase + static_cast<std::uint32_t>(pc + 1) * 4;
-            regs[kRegRa] = link;
-            const std::int32_t idx = pc;
-            pc = u->target;
-            ++steps;
-            cur.commit(kJump, idx, pc, 0, 0, 0, true, link, false, 0, 0, true,
-                       false);
-          }
-          T1000_NEXT();
-
-          T1000_OP(Jr) {
-            const std::uint32_t t = regs[u->rs];
-            if (t < kTextBase || (t & 3) != 0) {
-              throw SimError("wild jump to 0x" + std::to_string(t));
-            }
-            const auto next = static_cast<std::int32_t>((t - kTextBase) / 4);
-            if (next > size) {
-              throw SimError("control transfer out of text: " +
-                             std::to_string(next));
-            }
-            const std::int32_t idx = pc;
-            pc = next;
-            ++steps;
-            cur.commit(kJumpReg, idx, pc, t, 0, 1, false, 0, false, 0, 0, true,
-                       false);
-          }
-          T1000_NEXT();
-
-          T1000_OP(Jalr) {
-            // Operand read, then link write, then target checks — the
-            // reference order, observable when rd == rs and when the link
-            // write precedes a wild-jump fault.
-            const std::uint32_t t = regs[u->rs];
-            const std::uint32_t link =
-                kTextBase + static_cast<std::uint32_t>(pc + 1) * 4;
-            regs[u->rd] = link;
-            regs[0] = 0;
-            if (t < kTextBase || (t & 3) != 0) {
-              throw SimError("wild jump to 0x" + std::to_string(t));
-            }
-            const auto next = static_cast<std::int32_t>((t - kTextBase) / 4);
-            if (next > size) {
-              throw SimError("control transfer out of text: " +
-                             std::to_string(next));
-            }
-            const std::int32_t idx = pc;
-            pc = next;
-            ++steps;
-            cur.commit(kJumpReg, idx, pc, t, 0, 1, true, link, false, 0, 0,
-                       true, false);
-          }
-          T1000_NEXT();
-
-          T1000_OP(Nop) {
-            const std::int32_t idx = pc++;
-            ++steps;
-            cur.commit(kSeq, idx, pc, 0, 0, 0, false, 0, false, 0, 0, false,
-                       false);
-          }
-          T1000_NEXT();
-
-          T1000_OP(Halt) {
-            ex.halted_ = true;
-            ++steps;
-            cur.commit(kStop, pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
-                       false);
-            goto loop_done;
-          }
-
-          T1000_OP(Ext) {
-            const std::uint32_t a = regs[u->rs];
-            const std::uint32_t b = regs[u->rt];
-            const std::uint32_t v =
-                table->defs()[static_cast<std::size_t>(u->imm)].eval(a, b);
-            regs[u->rd] = v;
-            regs[0] = 0;
-            const std::int32_t idx = pc++;
-            ++steps;
-            cur.commit(kSeq, idx, pc, a, b, 2, true, v, false, 0, 0, false,
-                       false);
-          }
-          T1000_NEXT();
-
-          T1000_OP(Sentinel) {
-            // Clean off-the-end halt: reported but not counted as an
-            // executed step, exactly like the reference interpreter.
-            ex.halted_ = true;
-            cur.commit(kStop, pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
-                       true);
-            goto loop_done;
-          }
-
-          T1000_OP(Interp) {
-            // Irregular instruction: hand this one step to the reference
-            // interpreter. On a throw it leaves pc_/steps_ untouched, so
-            // the catch-all write-back below is a no-op.
-            ex.pc_ = pc;
-            ex.steps_ = steps;
-            const StepInfo info = ex.step_reference();
-            pc = ex.pc_;
-            steps = ex.steps_;
-            cur.commit_info(info, info.index >= size);
-            if (ex.halted_) goto loop_done;
-          }
-          T1000_NEXT();
-
-#if !T1000_UCODE_COMPUTED_GOTO
-          case UopKind::kNumUopKinds:
-            break;
-        }
+      op_J: {
+        const std::int32_t idx = pc;
+        pc = u->target;
+        ++steps;
+        cur.commit(kJump, idx, pc, 0, 0, 0, false, 0, false, 0, 0, true,
+                   false);
       }
-#endif
-#undef T1000_OP
+      T1000_NEXT();
+
+      op_Jal: {
+        const std::uint32_t link =
+            kTextBase + static_cast<std::uint32_t>(pc + 1) * 4;
+        regs[kRegRa] = link;
+        const std::int32_t idx = pc;
+        pc = u->target;
+        ++steps;
+        cur.commit(kJump, idx, pc, 0, 0, 0, true, link, false, 0, 0, true,
+                   false);
+      }
+      T1000_NEXT();
+
+      op_Jr: {
+        const std::uint32_t t = regs[u->rs];
+        if (t < kTextBase || (t & 3) != 0) {
+          throw SimError("wild jump to 0x" + std::to_string(t));
+        }
+        const auto next = static_cast<std::int32_t>((t - kTextBase) / 4);
+        if (next > size) {
+          throw SimError("control transfer out of text: " +
+                         std::to_string(next));
+        }
+        const std::int32_t idx = pc;
+        pc = next;
+        ++steps;
+        cur.commit(kJumpReg, idx, pc, t, 0, 1, false, 0, false, 0, 0, true,
+                   false);
+      }
+      T1000_NEXT();
+
+      op_Jalr: {
+        // Operand read, then link write, then target checks — the
+        // reference order, observable when rd == rs and when the link
+        // write precedes a wild-jump fault.
+        const std::uint32_t t = regs[u->rs];
+        const std::uint32_t link =
+            kTextBase + static_cast<std::uint32_t>(pc + 1) * 4;
+        regs[u->rd] = link;
+        regs[0] = 0;
+        if (t < kTextBase || (t & 3) != 0) {
+          throw SimError("wild jump to 0x" + std::to_string(t));
+        }
+        const auto next = static_cast<std::int32_t>((t - kTextBase) / 4);
+        if (next > size) {
+          throw SimError("control transfer out of text: " +
+                         std::to_string(next));
+        }
+        const std::int32_t idx = pc;
+        pc = next;
+        ++steps;
+        cur.commit(kJumpReg, idx, pc, t, 0, 1, true, link, false, 0, 0,
+                   true, false);
+      }
+      T1000_NEXT();
+
+      op_Nop: {
+        const std::int32_t idx = pc++;
+        ++steps;
+        cur.commit(kSeq, idx, pc, 0, 0, 0, false, 0, false, 0, 0, false,
+                   false);
+      }
+      T1000_NEXT();
+
+      op_Halt: {
+        ex.halted_ = true;
+        ++steps;
+        cur.commit(kStop, pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
+                   false);
+        goto loop_done;
+      }
+
+      op_Ext: {
+        const std::uint32_t a = regs[u->rs];
+        const std::uint32_t b = regs[u->rt];
+        const std::uint32_t v =
+            table->defs()[static_cast<std::size_t>(u->imm)].eval(a, b);
+        regs[u->rd] = v;
+        regs[0] = 0;
+        const std::int32_t idx = pc++;
+        ++steps;
+        cur.commit(kSeq, idx, pc, a, b, 2, true, v, false, 0, 0, false,
+                   false);
+      }
+      T1000_NEXT();
+
+      op_Sentinel: {
+        // Clean off-the-end halt: reported but not counted as an
+        // executed step, exactly like the reference interpreter.
+        ex.halted_ = true;
+        cur.commit(kStop, pc, pc, 0, 0, 0, false, 0, false, 0, 0, false,
+                   true);
+        goto loop_done;
+      }
+
+      op_Interp: {
+        // Irregular instruction: hand this one step to the reference
+        // interpreter. On a throw it leaves pc_/steps_ untouched, so
+        // the catch-all write-back below is a no-op.
+        ex.pc_ = pc;
+        ex.steps_ = steps;
+        const StepInfo info = ex.step_reference();
+        pc = ex.pc_;
+        steps = ex.steps_;
+        cur.commit_info(info, info.index >= size);
+        if (ex.halted_) goto loop_done;
+      }
+      T1000_NEXT();
+
 #undef T1000_NEXT
     loop_done:
       policy.sync(cur);

@@ -4,12 +4,12 @@
 // two-level dispatch per step — op_kind() table lookup, then an inner
 // switch — plus src_regs()/extend_imm() re-derivation and a full StepInfo
 // materialization even when nobody reads it. Trace recording and profiling
-// take that cost on every committed instruction, which makes
-// functional execution the dominant cold-path cost of a grid sweep now
-// that replay itself is batched.
+// take that cost on every committed instruction; recording is about a
+// fifth of a cold paper sweep, second only to timing replay (about two
+// thirds).
 //
-// UopProgram lowers the text segment once, basic block by basic block,
-// into a dense uop stream the interpreter can thread through:
+// UopProgram lowers the text segment once into a dense uop stream the
+// interpreter can thread through:
 //
 //  * one Uop per instruction, at the same index — plus a trailing halt
 //    sentinel at offset size() so the off-the-end return path (`jr $ra`
@@ -17,20 +17,20 @@
 //  * operands resolved at decode time: register indices flattened into
 //    the uop, ALU immediates pre-extended (extend_imm), shift amounts and
 //    LUI values precomputed, EXT uops bound to their configuration table;
-//  * control targets rewritten to segment offsets (== instruction
-//    indices; the stream is dense) and range-checked at decode, so taken
-//    branches are a single indexed jump at run time;
+//  * control targets rewritten to uop offsets (== instruction indices;
+//    the stream is dense) and range-checked at decode, so taken branches
+//    are a single indexed jump at run time;
 //  * irregular instructions — out-of-range static targets, unresolved
 //    EXT Conf ids, register fields past the file — lower to kInterp,
 //    which defers that one step to the reference interpreter so the fast
 //    path never has to reproduce error semantics.
 //
-// The dispatch loop itself (ucode.cpp) uses computed goto on GCC/Clang
-// and a portable switch behind T1000_NO_COMPUTED_GOTO; both are pinned
-// byte-identical by CI. Segment boundaries mirror Cfg::build exactly; the
-// `ucode.*` verifier rule family (analysis/ucode_check.hpp) structurally
-// re-checks a decoded stream against its source program, which is what
-// makes this form trustworthy enough to be the only functional path.
+// The dispatch loop itself (ucode.cpp) is computed goto, one indirect
+// branch per handler; the build requires a compiler with labels as values
+// (GCC, Clang). The `ucode.*` verifier rule family
+// (analysis/ucode_check.hpp) structurally re-checks a decoded stream
+// against its source program, which is what makes this form trustworthy
+// enough to be the only functional path.
 #pragma once
 
 #include <cstdint>
@@ -96,18 +96,6 @@ struct Uop {
   friend bool operator==(const Uop&, const Uop&) = default;
 };
 
-// One basic block's span of the uop stream. The stream is dense (uop
-// offset == instruction index), so `first`/`last` are simultaneously
-// segment offsets and the source block's instruction range — the identity
-// the `ucode.segments` verifier rule pins against Cfg::build.
-struct UopSegment {
-  int block = 0;           // source BasicBlock id
-  std::int32_t first = 0;  // inclusive uop-offset range
-  std::int32_t last = 0;
-
-  friend bool operator==(const UopSegment&, const UopSegment&) = default;
-};
-
 // The decoded program: built once per (program, table), immutable
 // afterwards, shared read-only by any number of executors (the grid
 // caches one per AnalyzedProgram / prepared run). Both referents must
@@ -116,18 +104,12 @@ struct UopProgram {
   const Program* program = nullptr;
   const ExtInstTable* table = nullptr;  // null for EXT-free programs
   std::vector<Uop> uops;                // program->size() + 1 (sentinel last)
-  std::vector<UopSegment> segments;     // per basic block, Cfg block order
 
   static UopProgram build(const Program& program, const ExtInstTable* table);
-
-  std::uint64_t memory_bytes() const {
-    return uops.capacity() * sizeof(Uop) +
-           segments.capacity() * sizeof(UopSegment);
-  }
 };
 
-// Deterministic textual listing of the decoded stream (segment headers +
-// one line per uop); the golden decode fixtures pin this format.
+// Deterministic textual listing of the decoded stream, one line per uop;
+// the golden decode fixtures pin this format.
 std::string disassemble(const UopProgram& ucode);
 
 }  // namespace t1000

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -869,14 +868,14 @@ SimStats run_pipeline(const DecodedTrace& decoded, const SimRequest& request) {
       .run();
 }
 
-// The most steps a run within `max_cycles` can commit. Such a run has at
-// most max_cycles + 1 cycles and commits at most commit_width steps in
-// each, so recording with this bound refuses none of them. Saturates.
+// The recording bound of a run within `max_cycles`. Such a run has at most
+// max_cycles + 1 cycles and commits at most commit_width steps in each, so
+// that product refuses none of them. It is capped at the tools'
+// kDefaultStepBound: at the default max_cycles it is ~1.7e10, and a
+// program that never halts would record until allocation fails.
 std::uint64_t step_bound(std::uint64_t max_cycles, int commit_width) {
   const auto width = static_cast<std::uint64_t>(commit_width);
-  if (max_cycles >= std::numeric_limits<std::uint64_t>::max() / width) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
+  if (max_cycles >= kDefaultStepBound / width) return kDefaultStepBound;
   return (max_cycles + 1) * width;
 }
 

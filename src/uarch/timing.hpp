@@ -155,8 +155,8 @@ struct SimRequest {
   // once, so one trace serves a whole grid of machine configurations.
   // When null, simulate() first records the whole run, with a step bound
   // of (max_cycles + 1) x commit_width (the most a run within max_cycles
-  // can commit), and then replays it: the trace it holds meanwhile grows
-  // with the run.
+  // can commit) capped at kDefaultStepBound (2^26, sim/trace.hpp), and
+  // then replays it: the trace it holds meanwhile grows with the run.
   const CommittedTrace* trace = nullptr;
   MachineConfig machine;
   std::uint64_t max_cycles = 1ull << 32;  // SimError past this bound

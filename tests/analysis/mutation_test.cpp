@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "analysis/verifier.hpp"
 #include "asmkit/assembler.hpp"
@@ -348,6 +350,46 @@ TEST(VerifyClobber, NonMemberWritingInputIsFlagged) {
   const VerifyReport report = verify_selection(ap, sel, rr, {});
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, "rw.clobber")) << report.summary();
+}
+
+TEST_F(MutationTest, NineMemberApplicationIsTooLongForOnePfu) {
+  // One PFU configuration holds at most kMaxUops (8) micro-ops. Stretched
+  // over nine valid members, an application fails ext.length and is
+  // refused as a configuration; the rest follow from the stretched claim.
+  program_ = assemble(R"(
+         li $t1, 100
+         li $t3, 3
+  chain: sll $t5, $t3, 4
+         addu $t6, $t5, $t1
+         xor $t7, $t6, $t1
+         addiu $t7, $t7, 1
+         andi $t7, $t7, 255
+         ori $t7, $t7, 3
+         xor $t7, $t7, $t3
+         addu $t7, $t7, $t1
+         sll $v0, $t7, 1
+         halt
+  )");
+  analyze();
+  sel_ = select_greedy(ap_);
+  rr_ = rewrite_program(program_, sel_.apps);
+  ASSERT_FALSE(sel_.apps.empty());
+  sel_.apps.resize(1);
+  std::vector<std::int32_t>& pos = sel_.apps[0].positions;
+  pos.clear();
+  const std::int32_t chain = program_.text_symbols.at("chain");
+  for (std::int32_t p = chain; p < chain + 9; ++p) pos.push_back(p);
+  const VerifyReport report = verify();
+  std::vector<std::string> rules;
+  for (const Diagnostic& d : report.diagnostics) rules.push_back(d.rule_id);
+  EXPECT_EQ(rules, (std::vector<std::string>{
+                       "ext.length", "ext.opcode-class", "rw.landing",
+                       "ext.lut-cost", "equiv.replaced", "equiv.replaced"}));
+  ASSERT_GE(report.diagnostics.size(), 2u);
+  EXPECT_EQ(report.diagnostics[0].message, "sequence length 9 outside [2, 8]");
+  EXPECT_EQ(report.diagnostics[1].message,
+            "recomputed micro-program is not a valid PFU configuration: "
+            "ExtInstDef: 1..8 micro-ops required");
 }
 
 }  // namespace

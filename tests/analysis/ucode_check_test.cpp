@@ -155,23 +155,6 @@ TEST(UcodeCheck, ExtConfOutOfRangeFires) {
   EXPECT_TRUE(fired(verify_ucode(ucode), "ucode.ext"));
 }
 
-TEST(UcodeCheck, SegmentTableDriftFires) {
-  const Program p = loop_program();
-  {
-    // Wrong segment count.
-    UopProgram ucode = UopProgram::build(p, nullptr);
-    ASSERT_FALSE(ucode.segments.empty());
-    ucode.segments.pop_back();
-    EXPECT_TRUE(fired(verify_ucode(ucode), "ucode.segments"));
-  }
-  {
-    // Segment bounds no longer mirror the basic block.
-    UopProgram ucode = UopProgram::build(p, nullptr);
-    ucode.segments[0].last += 1;
-    EXPECT_TRUE(fired(verify_ucode(ucode), "ucode.segments"));
-  }
-}
-
 TEST(UcodeCheck, AllDiagnosticsAreErrors) {
   // The family diagnoses decoder bugs, never style: everything it emits
   // must carry error severity so --verify and t1000-verify fail the run.
@@ -179,7 +162,6 @@ TEST(UcodeCheck, AllDiagnosticsAreErrors) {
   UopProgram ucode = UopProgram::build(p, nullptr);
   ucode.uops[find_op(p, Opcode::kAddu)].kind = UopKind::kInterp;
   ucode.uops[find_op(p, Opcode::kAddiu)].imm += 1;
-  ucode.segments[0].last += 1;
   const VerifyReport report = verify_ucode(ucode);
   EXPECT_GT(report.errors(), 0);
   EXPECT_EQ(report.warnings(), 0);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "asmkit/assembler.hpp"
 
@@ -24,6 +26,23 @@ Program sample_program() {
         ext $t2, $t0, $t1, 0
         halt
   )");
+}
+
+// Overwrites the little-endian u32 at `offset` of a saved object.
+void patch_u32(std::string& bytes, std::size_t offset, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+void expect_obj_error(const std::string& bytes, const std::string& what) {
+  std::stringstream in(bytes);
+  try {
+    load_object(in);
+    ADD_FAILURE() << "loaded; expected " << what;
+  } catch (const ObjError& e) {
+    EXPECT_EQ(std::string(e.what()), what);
+  }
 }
 
 ExtInstTable sample_table() {
@@ -92,6 +111,42 @@ TEST(ObjFile, RejectsGarbageMicroOps) {
   bytes += std::string("\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF", 8);
   std::stringstream bad(bytes);
   EXPECT_THROW(load_object(bad), ObjError);
+}
+
+TEST(ObjFile, RejectsTextSymbolsOutsideTheText) {
+  // A text symbol is an instruction index: the executor starts at `main`
+  // and the CFG takes every symbol as a block leader, so an index outside
+  // [0, size] used to load and then corrupt the heap. The symbol table
+  // entry is the name, then its i32 index.
+  const Program p = sample_program();
+  std::stringstream buf;
+  save_object(buf, p);
+  const std::size_t main_index = buf.str().find("main") + 4;
+  for (const std::int32_t index : {-10, -1, p.size() + 1}) {
+    std::string bytes = buf.str();
+    patch_u32(bytes, main_index, static_cast<std::uint32_t>(index));
+    expect_obj_error(bytes, "text symbol 'main' index " +
+                                std::to_string(index) + " outside [0, " +
+                                std::to_string(p.size()) + "]");
+  }
+  // One past the last instruction is where a trailing label sits.
+  std::string bytes = buf.str();
+  patch_u32(bytes, main_index, static_cast<std::uint32_t>(p.size()));
+  std::stringstream end(bytes);
+  EXPECT_EQ(load_object(end).program.text_symbols.at("main"), p.size());
+}
+
+TEST(ObjFile, HugeHeaderCountsEndInTruncation) {
+  // Header counts are claims: 0xFFFFFFF0 text words (bytes 8..11) or
+  // 0xF0000000 data bytes (12..15) used to be reserved or zero-filled
+  // before any was read.
+  std::stringstream buf;
+  save_object(buf, sample_program());
+  for (const std::size_t field : {8, 12}) {
+    std::string bytes = buf.str();
+    patch_u32(bytes, field, field == 8 ? 0xFFFFFFF0u : 0xF0000000u);
+    expect_obj_error(bytes, "truncated object file");
+  }
 }
 
 TEST(ObjFile, FileRoundTrip) {

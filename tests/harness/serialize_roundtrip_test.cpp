@@ -11,6 +11,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
@@ -112,16 +113,27 @@ TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {
 
 TEST(SerializeRoundTrip, OutOfRangeNumbersAreRejectedByName) {
   // ruu_size 2^32 + 64 used to wrap to a 64-entry RUU, and a candidate
-  // shape past the EXT encoding reached the extractor unchecked.
+  // shape past the EXT encoding reached the extractor unchecked. A nested
+  // member is named by its path below the machine or policy, as
+  // validate(MachineConfig) names it, and a value of the wrong type or past
+  // the int64 range names its member too.
   const std::string run = "{\"workload\": \"epic\", ";
   expect_throw_containing(run + "\"machine\": {\"ruu_size\": 4294967360}}",
                           "\"ruu_size\" must be in [-2147483648, 2147483647]");
   expect_throw_containing(
       run + "\"machine\": {\"dl1\": {\"size_bytes\": -1}}}",
-      "\"size_bytes\" must be in [0, 4294967295] (got -1)");
-  EXPECT_THROW(run_spec_from_json(Json::parse(
-                   run + "\"machine\": {\"ruu_size\": 1e30}}")),
-               JsonError);
+      "\"dl1.size_bytes\" must be in [0, 4294967295] (got -1)");
+  for (const char* bad : {"1e30", "\"big\""}) {
+    expect_throw_containing(
+        run + "\"machine\": {\"ruu_size\": " + bad + "}}",
+        "member \"ruu_size\" must be an integer in [-2147483648, 2147483647]");
+  }
+  expect_throw_containing(
+      run + "\"machine\": {\"branch\": {\"target_entries\": 0.5}}}",
+      "member \"branch.target_entries\" must be an integer in");
+  expect_throw_containing(
+      run + "\"policy\": {\"extract\": {\"max_width\": 4294967296}}}",
+      "member \"extract.max_width\" must be in");
   for (const char* bad : {"max_inputs\": 0", "max_inputs\": 5",
                           "max_outputs\": 3", "min_length\": 0",
                           "max_length\": 9"}) {
@@ -130,6 +142,10 @@ TEST(SerializeRoundTrip, OutOfRangeNumbersAreRejectedByName) {
         run + "\"policy\": {\"extract\": {\"" + bad + "}}}",
         "extract policy: " + field + " must be in [1, ");
   }
+  // A cache entry's outcome goes through the same checked reader.
+  Json outcome = to_json(RunOutcome{});
+  outcome["lengths"] = Json::array_of(std::vector<long long>{2, 4294967298});
+  EXPECT_THROW(run_outcome_from_json(outcome), JsonError);
 }
 
 TEST(SerializeRoundTrip, BadEnumNamesAreRejected) {

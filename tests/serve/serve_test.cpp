@@ -276,6 +276,12 @@ TEST(Service, DegenerateMachinesAndDeepBodiesAre400) {
   expect_400_naming(run_on("{\"fetch_width\": 0}"), "fetch_width");
   expect_400_naming(run_on("{\"ruu_size\": 2000000000}"), "ruu_size");
   expect_400_naming(run_on("{\"ruu_size\": 4294967360}"), "ruu_size");
+  // Nested members are named by their path, and a number no integer field
+  // holds, or a string, still names its member.
+  expect_400_naming(run_on("{\"dl1\": {\"size_bytes\": 4294967296}}"),
+                    "dl1.size_bytes");
+  expect_400_naming(run_on("{\"ruu_size\": 1e30}"), "ruu_size");
+  expect_400_naming(run_on("{\"ruu_size\": \"big\"}"), "ruu_size");
   expect_400_naming(
       "{\"runs\": [{\"workload\": \"gsm_dec\", \"selector\": \"selective\", "
       "\"policy\": {\"extract\": {\"max_inputs\": 0}}}]}",

@@ -4,8 +4,8 @@
 // the reference interpreter (ExecMode::kReference) and the pre-decoded uop
 // interpreter side by side, requiring step-for-step StepInfo equality and
 // identical final architectural state. Deliberate edge cases ride along: a
-// branch whose target is exactly program.size() (off the end of the last
-// segment, into the halt sentinel), fall-through into the sentinel via
+// branch whose target is exactly program.size() (off the end of the text,
+// into the halt sentinel), fall-through into the sentinel via
 // `jr $ra`, and an untaken branch whose target lies past the text. Every
 // recorded trace is also replayed next to the reference interpreter.
 //
@@ -93,7 +93,7 @@ TEST(UcodeFuzz, RandomProgramsExecuteIdentically) {
 
 TEST(UcodeFuzz, BranchToProgramSizeHitsTheSentinel) {
   // A taken branch whose target is exactly program.size(): off the end of
-  // the last segment, straight onto the halt sentinel. The reference
+  // the text, straight onto the halt sentinel. The reference
   // interpreter halts; the uop path must land on kSentinel and do the
   // same, committing the identical off-the-end sentinel step.
   Program p;

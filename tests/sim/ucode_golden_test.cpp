@@ -1,8 +1,8 @@
 // Golden-fixture regression tests for the uop decoder.
 //
-// Each scenario pins the full disassembly of one decode corner — segment
-// table, uop kinds, resolved operands and immediates, rewritten control
-// targets, sentinel placement — against a checked-in fixture under
+// Each scenario pins the full disassembly of one decode corner — uop
+// kinds, resolved operands and immediates, rewritten control targets,
+// sentinel placement — against a checked-in fixture under
 // tests/sim/golden/. Any lowering change that moves the decoded form must
 // be deliberate: regenerate with
 //
@@ -82,8 +82,8 @@ TEST(UcodeGolden, BlockEndingInConditionalBranch) {
 
 TEST(UcodeGolden, ExtMidBlock) {
   // An EXT in the middle of a straight-line block: the decoder must bind
-  // its Conf id as the uop immediate (resolved against the table) without
-  // ending the block — EXT is not a control instruction.
+  // its Conf id as the uop immediate (resolved against the table) and give
+  // it no target — EXT is not a control instruction.
   ExtInstTable table;
   table.intern(ExtInstDef(
       /*num_inputs=*/2, {MicroOp{Opcode::kAddu, /*dst=*/2, /*a=*/0, /*b=*/1},
@@ -101,7 +101,7 @@ TEST(UcodeGolden, ExtMidBlock) {
 TEST(UcodeGolden, SingleInstructionBlockAtProgramEnd) {
   // A jump over the penultimate instruction leaves `halt` alone in the
   // final one-instruction block, directly abutting the off-the-end
-  // sentinel — the decode corner where segment [last] == sentinel - 1.
+  // sentinel — the decode corner where the jump targets size() - 1.
   Program p;
   p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/2, 0, 1));
   p.text.push_back(make_jump(Opcode::kJ, /*target=*/3));

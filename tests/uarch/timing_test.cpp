@@ -274,6 +274,21 @@ TEST(Timing, RecordingBoundSaturatesAtTheLargestCycleBound) {
             2u);
 }
 
+TEST(Timing, TracelessRunawayEndsAtTheDefaultStepBound) {
+  // At the default max_cycles the recording bound alone is ~1.7e10 steps,
+  // and a program that never halts grew its trace until allocation
+  // failed. Capped at kDefaultStepBound it ends in a named error.
+  const Program p = assemble("loop: j loop");
+  try {
+    simulate({.program = &p, .machine = base_machine()});
+    ADD_FAILURE() << "a program that never halts was simulated";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("did not halt within step bound"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Replay, RefusesTraceOfAnotherProgram) {
   // A trace is only meaningful next to the program it was recorded from:
   // its rows decide every replayed successor and which stream a step reads.

@@ -10,6 +10,7 @@
 #include "extinst/select.hpp"
 #include "hwcost/lut_model.hpp"
 #include "sim/executor.hpp"
+#include "sim/trace.hpp"
 #include "tool_common.hpp"
 
 using namespace t1000;
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: input already contains EXT instructions\n");
       return 1;
     }
-    const AnalyzedProgram ap = analyze_program(obj.program, 1u << 26);
+    const AnalyzedProgram ap = analyze_program(obj.program, kDefaultStepBound);
 
     SelectPolicy policy;
     policy.num_pfus = static_cast<int>(pfus);
@@ -50,9 +51,9 @@ int main(int argc, char** argv) {
 
     // Validate semantics before emitting anything.
     Executor ref(obj.program);
-    ref.run(1u << 26);
+    ref.run(kDefaultStepBound);
     Executor opt(rr.program, &sel.table);
-    opt.run(1u << 26);
+    opt.run(kDefaultStepBound);
     if (!ref.halted() || !opt.halted() || ref.reg(2) != opt.reg(2) ||
         ref.reg(3) != opt.reg(3)) {
       std::fprintf(stderr, "internal error: rewrite changed semantics\n");

@@ -9,13 +9,14 @@
 #include <cstdio>
 
 #include "sim/executor.hpp"
+#include "sim/trace.hpp"
 #include "tool_common.hpp"
 
 using namespace t1000;
 
 int main(int argc, char** argv) {
   tools::ToolOptions common;
-  long max_steps = 1 << 26;
+  long max_steps = static_cast<long>(kDefaultStepBound);
   long trace = 0;
   bool dump_regs = false;
   OptionParser parser = common.make_parser(

@@ -88,11 +88,8 @@ int main(int argc, char** argv) {
     const LoadedObject obj = tools::load_input(input);
     const ExtInstTable* table =
         obj.ext_table.size() > 0 ? &obj.ext_table : nullptr;
-    // The functional bound t1000-run, t1000-opt and t1000-verify use: a
-    // program that does not halt within it is a SimError, not a run that
-    // records until memory runs out.
-    constexpr std::uint64_t kMaxSteps = 1ull << 26;
-    const CommittedTrace trace = record_trace(obj.program, table, kMaxSteps);
+    const CommittedTrace trace =
+        record_trace(obj.program, table, kDefaultStepBound);
     SimObservation obs;
     obs.want_trace = !trace_out.empty();
     const bool observe = stall_breakdown || obs.want_trace;
@@ -147,7 +144,8 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) {
       // Hot-region annotations come from the functional profiler, exactly
       // as the selection algorithms see them.
-      const Profile prof = profile_program(obj.program, kMaxSteps, table);
+      const Profile prof =
+          profile_program(obj.program, kDefaultStepBound, table);
       annotate_hot_regions(prof, obj.program, &obs.trace);
       // Compact form: event traces are large and consumed by viewers, not
       // humans.

@@ -24,6 +24,7 @@
 #include "analysis/verifier.hpp"
 #include "extinst/rewrite.hpp"
 #include "extinst/select.hpp"
+#include "sim/trace.hpp"
 #include "tool_common.hpp"
 #include "workloads/workload.hpp"
 
@@ -37,7 +38,7 @@ struct VerifyJob {
   Program program;
   const ExtInstTable* table = nullptr;  // pre-built binaries: module-only
   bool pipeline = false;                // run select+rewrite, then verify
-  std::uint64_t max_steps = 1u << 26;
+  std::uint64_t max_steps = kDefaultStepBound;
 };
 
 VerifyReport run_job(const VerifyJob& job, const SelectPolicy& policy,
