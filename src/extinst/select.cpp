@@ -1,6 +1,8 @@
 #include "extinst/select.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -69,6 +71,31 @@ void emit_site(Selection* sel, const Program& program, const Profile& profile,
 }
 
 }  // namespace
+
+std::string validate(const SelectPolicy& policy) {
+  const auto range = [](const char* field, int lo, int hi,
+                         const std::string& got) {
+    return std::string(field) + " must be in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "] (got " + got + ")";
+  };
+  if (policy.num_pfus < kUnlimitedPfus || policy.num_pfus > kMaxPfus) {
+    return range("num_pfus", kUnlimitedPfus, kMaxPfus,
+                 std::to_string(policy.num_pfus));
+  }
+  if (policy.lut_budget < 0) {
+    return range("lut_budget", 0, std::numeric_limits<int>::max(),
+                 std::to_string(policy.lut_budget));
+  }
+  if (!(policy.time_threshold >= 0.0 && policy.time_threshold <= 1.0)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", policy.time_threshold);
+    return range("time_threshold", 0, 1, got);
+  }
+  if (const std::string bad = validate(policy.extract); !bad.empty()) {
+    return "extract." + bad;
+  }
+  return {};
+}
 
 AnalyzedProgram analyze_program(const Program& program,
                                 std::uint64_t max_steps,

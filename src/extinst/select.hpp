@@ -43,6 +43,14 @@ struct SelectPolicy {
   ExtractPolicy extract;
 };
 
+// Checks num_pfus in [kUnlimitedPfus, kMaxPfus] (the bound
+// validate(MachineConfig) puts on pfu.count), lut_budget in [0, INT_MAX],
+// time_threshold in [0, 1] and the candidate shape (validate(ExtractPolicy),
+// its fields named "extract.<field>"). Returns an empty string for a usable
+// policy, otherwise a message naming the first bad field, its range and its
+// value, as validate(MachineConfig) does.
+std::string validate(const SelectPolicy& policy);
+
 struct Selection {
   ExtInstTable table;              // distinct configurations (Conf ids)
   std::vector<Application> apps;   // concrete rewrite sites

@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -145,6 +147,25 @@ std::uint64_t program_hash(const Program& program) {
   // cannot alias.
   const std::uint64_t sizes[2] = {words.size(), program.data.size()};
   return fnv1a64(sizes, sizeof sizes, h);
+}
+
+CacheDefaults cache_defaults_from_env(const std::string& program) {
+  CacheDefaults out;
+  const char* dir = std::getenv("T1000_CACHE_DIR");
+  out.dir = dir != nullptr ? dir : ".t1000-cache";
+  const char* budget = std::getenv("T1000_CACHE_BUDGET_BYTES");
+  if (budget == nullptr || *budget == '\0') return out;
+  char* end = nullptr;
+  errno = 0;
+  out.budget_bytes = std::strtol(budget, &end, 10);
+  if (errno != 0 || *end != '\0' || out.budget_bytes < 0) {
+    std::fprintf(stderr,
+                 "%s: bad value '%s' for T1000_CACHE_BUDGET_BYTES (expected "
+                 "an integer in [0, %ld])\n",
+                 program.c_str(), budget, std::numeric_limits<long>::max());
+    std::exit(2);
+  }
+  return out;
 }
 
 CacheKey make_cache_key(const RunSpec& spec, std::uint64_t program_hash,

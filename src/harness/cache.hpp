@@ -73,6 +73,18 @@ struct CacheKey {
 CacheKey make_cache_key(const RunSpec& spec, std::uint64_t program_hash,
                         std::uint64_t max_steps);
 
+// The on-disk tier's defaults from the environment, shared by the benches
+// and t1000-serve: the directory is $T1000_CACHE_DIR, else ".t1000-cache";
+// the size budget is $T1000_CACHE_BUDGET_BYTES when set and not empty,
+// else 0 (unbounded). A budget that is not a non-negative integer is
+// refused as a bad --cache-budget-bytes is: a diagnostic naming the
+// variable, prefixed with `program`, and exit status 2.
+struct CacheDefaults {
+  std::string dir;
+  long budget_bytes = 0;
+};
+CacheDefaults cache_defaults_from_env(const std::string& program);
+
 class ResultCache {
  public:
   struct Counters {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <exception>
 #include <fstream>
@@ -17,10 +15,15 @@
 #include <utility>
 
 #include "analysis/diagnostic.hpp"
+#include "asmkit/assembler.hpp"
+#include "asmkit/objfile.hpp"
 #include "harness/identity.hpp"
 #include "harness/report.hpp"
 #include "harness/serialize.hpp"
+#include "isa/encoding.hpp"
+#include "minic/token.hpp"
 #include "sim/executor.hpp"
+#include "sim/memory.hpp"
 
 namespace t1000 {
 namespace {
@@ -103,23 +106,32 @@ RunSpec stamped(const RunSpec& spec, const GridOptions& options) {
 }  // namespace
 
 RunErrorKind classify_current_exception(std::string* message) {
+  const auto classify = [&](const std::exception& e, RunErrorKind kind) {
+    *message = e.what();
+    return kind;
+  };
   try {
     throw;
   } catch (const VerifyError& e) {
-    *message = e.what();
-    return RunErrorKind::kVerify;
+    return classify(e, RunErrorKind::kVerify);
   } catch (const SimError& e) {
-    *message = e.what();
-    return RunErrorKind::kSim;
+    return classify(e, RunErrorKind::kSim);
+  } catch (const MemError& e) {
+    return classify(e, RunErrorKind::kSim);
+  } catch (const AsmError& e) {
+    return classify(e, RunErrorKind::kInput);
+  } catch (const ObjError& e) {
+    return classify(e, RunErrorKind::kInput);
+  } catch (const minic::CompileError& e) {
+    return classify(e, RunErrorKind::kInput);
+  } catch (const EncodingError& e) {
+    return classify(e, RunErrorKind::kInput);
   } catch (const JsonError& e) {
-    *message = e.what();
-    return RunErrorKind::kJson;
+    return classify(e, RunErrorKind::kJson);
   } catch (const CacheIoError& e) {
-    *message = e.what();
-    return RunErrorKind::kCacheIo;
+    return classify(e, RunErrorKind::kCacheIo);
   } catch (const std::exception& e) {
-    *message = e.what();
-    return RunErrorKind::kStdException;
+    return classify(e, RunErrorKind::kStdException);
   } catch (...) {
     *message = "non-std::exception thrown";
     return RunErrorKind::kUnknown;
@@ -691,22 +703,14 @@ BenchOptions parse_bench_options(int argc, char** argv,
                                  const std::string& name,
                                  const std::string& summary) {
   BenchOptions out;
-  const char* env_dir = std::getenv("T1000_CACHE_DIR");
-  out.grid.cache_dir = env_dir != nullptr ? env_dir : ".t1000-cache";
+  const CacheDefaults cache = cache_defaults_from_env(name);
+  out.grid.cache_dir = cache.dir;
 
   // Far beyond any sane thread count, but small enough that the int cast
   // and per-worker allocations cannot overflow or OOM from a typo'd value.
   constexpr long kMaxJobs = 1 << 15;
   long jobs = 0;
-  long cache_budget = 0;
-  if (const char* env_budget = std::getenv("T1000_CACHE_BUDGET_BYTES")) {
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env_budget, &end, 10);
-    if (errno == 0 && end != env_budget && *end == '\0' && parsed >= 0) {
-      cache_budget = parsed;
-    }
-  }
+  long cache_budget = cache.budget_bytes;
   double run_budget_ms = 0.0;
   bool no_cache = false;
   bool no_batch = false;

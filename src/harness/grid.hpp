@@ -59,8 +59,10 @@ enum class RunStatus {
 // triaged from the results JSON without re-running anything.
 enum class RunErrorKind {
   kNone,          // status is kOk, kTimeout (budget), or kSkipped
-  kSim,           // SimError: simulation/validation failure
+  kSim,           // SimError or MemError: simulation/validation failure
   kVerify,        // VerifyError: static verification failed (RunSpec::verify)
+  kInput,         // AsmError, ObjError, CompileError, EncodingError:
+                  // malformed source or object input
   kJson,          // JsonError: serialization or cache-entry decode failure
   kCacheIo,       // CacheIoError: result-cache I/O failure
   kStdException,  // any other std::exception

@@ -9,14 +9,15 @@
 //    fixed) so equal configurations serialize to equal bytes. json.hpp
 //    guarantees both properties.
 //
-// from_json covers two consumers: what the cache must round-trip (SimStats
-// and RunOutcome), and — since the serve layer — full RunSpec re-hydration,
-// so a JSON grid request submitted to t1000-serve deserializes into exactly
-// the spec that serializes back to the same bytes. Spec-side deserializers
-// are lenient about absent members (each defaults as in the struct, so a
-// curl-sized request can name only what it changes) but strict about
-// unknown ones (a typo'd field name must fail loudly, never silently
-// simulate the wrong machine).
+// Each machine, policy and stats struct lists its members once, in
+// serialization order (serialize.cpp); one writer and one reader walk the
+// lists. Read from a request, an absent member keeps its default, so a
+// curl-sized request names only what it changes; read from a cache entry,
+// every member is required. Both reject unknown members (a typo must never
+// silently simulate the wrong machine) and name a bad member by its path
+// below the machine or policy ("dl1.size_bytes"). Only the documents that
+// cross a boundary whole have public readers: a RunSpec from a t1000-serve
+// request, and a RunOutcome (with its StallBreakdown) from a cache entry.
 #pragma once
 
 #include "harness/experiment.hpp"
@@ -48,33 +49,19 @@ Json to_json(const ExtractPolicy& policy);
 Json to_json(const SelectPolicy& policy);
 Json to_json(const RunSpec& spec);
 
-// The nested decoders start from `base`, the enclosing struct's current
-// value, so an object that names some members keeps the rest. Every
-// decoder throws JsonError naming the member when a number does not fit
-// its field.
-CacheConfig cache_config_from_json(const Json& j, CacheConfig base);
-TlbConfig tlb_config_from_json(const Json& j, TlbConfig base);
-PfuConfig pfu_config_from_json(const Json& j, PfuConfig base);
-BranchPredictorConfig branch_predictor_config_from_json(
-    const Json& j, BranchPredictorConfig base);
-// Also throws JsonError naming the field when the machine fails
-// validate() (uarch/config.hpp).
-MachineConfig machine_config_from_json(const Json& j);
-// Likewise when the candidate shape fails validate() (extinst/extract.hpp).
-ExtractPolicy extract_policy_from_json(const Json& j, ExtractPolicy base);
-SelectPolicy select_policy_from_json(const Json& j);
-// Rebuilds a RunSpec from the to_json(RunSpec) shape: workload (required),
-// label, selector, machine, policy, max_cycles, verify, observe. Throws
-// JsonError on unknown members, bad types, unknown selector names, or an
-// invalid machine or candidate shape.
+// Rebuilds a RunSpec from the to_json(RunSpec) shape; only the workload is
+// required. Throws JsonError on an unknown member, a bad type or name, or
+// a machine or policy that fails validate().
 RunSpec run_spec_from_json(const Json& j);
-
-CacheStats cache_stats_from_json(const Json& j);
-PfuStats pfu_stats_from_json(const Json& j);
-BranchStats branch_stats_from_json(const Json& j);
-SimStats sim_stats_from_json(const Json& j);
 StallBreakdown stall_breakdown_from_json(const Json& j);
 RunOutcome run_outcome_from_json(const Json& j);
+
+// The checked scalar reader behind them all, shared with the serve layer's
+// request options: stores `v`, the value of member `key`, in *out, or
+// throws JsonError naming `key` when `v` has the wrong type or *out cannot
+// hold it. Instantiated for bool, double and std::uint64_t.
+template <typename T>
+void read_scalar(const Json& v, std::string_view key, T* out);
 
 // Stable name for a branch predictor kind ("perfect", "bimodal", ...).
 std::string_view branch_predictor_name(BranchPredictorKind kind);

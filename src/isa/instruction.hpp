@@ -20,6 +20,9 @@ inline constexpr ConfId kInvalidConf = 0xFFFF;
 // field to a register-register format; 11 bits fit in the shamt+funct
 // space of an R-type word).
 inline constexpr int kConfBits = 11;
+// More PFUs than encodable Conf ids could never all be loaded: the bound
+// on a machine's PFU count and on a selection policy's.
+inline constexpr int kMaxPfus = 1 << kConfBits;
 
 // MIMO shape ceiling for extended instructions (ByoRISC-style widening of
 // the paper's 2-in/1-out candidate restriction). The first two inputs ride

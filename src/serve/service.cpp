@@ -132,17 +132,18 @@ SimService::ParsedRequest SimService::parse_request(
       const std::string& name = member.first;
       const Json& value = member.second;
       if (name == "verify") {
-        parsed.options.verify = value.as_bool();
+        read_scalar(value, name, &parsed.options.verify);
       } else if (name == "observe") {
-        parsed.options.observe = value.as_bool();
+        read_scalar(value, name, &parsed.options.observe);
       } else if (name == "batch") {
-        parsed.options.batch = value.as_bool();
+        read_scalar(value, name, &parsed.options.batch);
       } else if (name == "run_budget_ms") {
-        const double ms = value.as_double();
-        if (ms < 0) throw JsonError("run_budget_ms must be >= 0");
-        parsed.options.run_budget_ms = ms;
+        read_scalar(value, name, &parsed.options.run_budget_ms);
+        if (parsed.options.run_budget_ms < 0) {
+          throw JsonError("run_budget_ms must be >= 0");
+        }
       } else if (name == "fail_limit") {
-        parsed.options.fail_limit = value.as_uint();
+        read_scalar(value, name, &parsed.options.fail_limit);
       } else {
         throw JsonError("unknown member \"" + name +
                         "\" in grid request options");

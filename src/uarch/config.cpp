@@ -15,8 +15,6 @@ constexpr std::int64_t kMaxLineBytes = 1 << 16;
 constexpr std::int64_t kMaxLines = 1 << 20;       // per cache
 constexpr std::int64_t kMaxTlbEntries = 1 << 16;  // scanned on every miss
 constexpr std::int64_t kMaxTableEntries = 1 << 20; // predictor tables
-// More PFUs than encodable Conf ids could never all be loaded.
-constexpr std::int64_t kMaxPfus = std::int64_t{1} << kConfBits;
 constexpr std::int64_t kMaxLatency = 100000;      // cycles
 
 // One row per field. Names stay literals until a row fails, so validating

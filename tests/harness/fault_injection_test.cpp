@@ -17,8 +17,13 @@
 #include <thread>
 
 #include "analysis/diagnostic.hpp"
+#include "asmkit/assembler.hpp"
+#include "asmkit/objfile.hpp"
 #include "harness/serialize.hpp"
+#include "isa/encoding.hpp"
+#include "minic/token.hpp"
 #include "sim/executor.hpp"
+#include "sim/memory.hpp"
 
 namespace t1000 {
 namespace {
@@ -150,6 +155,16 @@ TEST(FaultInjection, ErrorTaxonomyClassifiesEachKind) {
   };
   const Case cases[] = {
       {[] { throw SimError("sim boom"); }, RunErrorKind::kSim, "sim boom"},
+      {[] { throw MemError("misaligned boom"); }, RunErrorKind::kSim,
+       "misaligned boom"},
+      {[] { throw AsmError(2, "unknown mnemonic"); }, RunErrorKind::kInput,
+       "line 2: unknown mnemonic"},
+      {[] { throw ObjError("truncated object"); }, RunErrorKind::kInput,
+       "truncated object"},
+      {[] { throw minic::CompileError(3, "expected ';'"); },
+       RunErrorKind::kInput, "line 3: expected ';'"},
+      {[] { throw EncodingError("bad word"); }, RunErrorKind::kInput,
+       "bad word"},
       {[] { throw VerifyError("verify boom"); }, RunErrorKind::kVerify,
        "verify boom"},
       {[] { throw JsonError("json boom"); }, RunErrorKind::kJson, "json boom"},

@@ -9,7 +9,9 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -759,6 +761,56 @@ TEST(Cache, VersionMismatchedEntryIsQuarantinedAndRepairedByNextStore) {
     corrupt_files += e.path().extension() == ".corrupt" ? 1 : 0;
   }
   EXPECT_EQ(corrupt_files, 1u);
+}
+
+TEST(Cache, EntryWithAMissingMemberOrMalformedHashIsQuarantined) {
+  // A cache entry holds every member as the writer writes it. A stall
+  // cause absent from an observed outcome used to read as 0 cycles, and a
+  // trace_hash of "12zz" as 0x12 (or "0X…12" and upper case as written).
+  const CacheKey key = make_cache_key(baseline_spec("gsm_dec"), 0x1234u, 100u);
+  RunOutcome observed;
+  observed.observed = true;
+  const auto without = [](const char* member) {
+    return [member](Json* object) {
+      Json kept = Json::object();
+      for (const auto& m : object->members()) {
+        if (m.first != member) kept[m.first] = m.second;
+      }
+      *object = std::move(kept);
+    };
+  };
+  const auto with_hash = [](const char* hash) {
+    return [hash](Json* outcome) { (*outcome)["trace_hash"] = Json(hash); };
+  };
+  const std::function<void(Json*)> corruptions[] = {
+      [&](Json* o) { without("ext_reconfig")(&(*o)["stalls"]["causes"]); },
+      [&](Json* o) { without("writebacks")(&(*o)["stats"]["dl1"]); },
+      with_hash("12zz"),
+      with_hash("0X00000000000012"),
+      with_hash("00000000000000AB"),
+      with_hash("000000000000000012"),
+  };
+  for (const auto& corrupt : corruptions) {
+    const TempDir dir("cache-strict-entry");
+    std::string entry_file;
+    {
+      ResultCache seed(dir.str());
+      seed.store(key, observed);
+      entry_file = seed.entry_path(key);
+      std::ifstream is(entry_file);
+      std::ostringstream buf;
+      buf << is.rdbuf();
+      Json entry = Json::parse(buf.str());
+      corrupt(&entry["outcome"]);
+      std::ofstream(entry_file, std::ios::trunc) << entry.dump(2) << "\n";
+    }
+    ResultCache cache(dir.str());
+    RunOutcome out;
+    EXPECT_FALSE(cache.lookup(key, &out));
+    EXPECT_EQ(cache.counters().quarantined, 1u);
+    EXPECT_EQ(cache.counters().misses, 1u);
+    EXPECT_TRUE(fs::exists(entry_file + ".corrupt"));
+  }
 }
 
 TEST(Cache, StoreOverAForeignKeyEntryCountsAsEviction) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,39 @@ TEST(OptionsDeathTest, BenchRejectsAbsurdJobs) {
   Argv args({"bench", "--jobs", "99999999999"});
   EXPECT_EXIT(parse_bench_options(args.argc(), args.argv(), "bench", ""),
               ::testing::ExitedWithCode(2), "--jobs");
+}
+
+TEST(OptionsDeathTest, MalformedCacheBudgetEnvironmentIsRefused) {
+  // "10G" and "-5" used to read as 0: an unbounded cache, silently.
+  for (const char* bad : {"10G", "-5", "99999999999999999999999"}) {
+    setenv("T1000_CACHE_BUDGET_BYTES", bad, 1);
+    Argv args({"bench"});
+    EXPECT_EXIT(parse_bench_options(args.argc(), args.argv(), "bench", ""),
+                ::testing::ExitedWithCode(2), "T1000_CACHE_BUDGET_BYTES")
+        << bad;
+  }
+  unsetenv("T1000_CACHE_BUDGET_BYTES");
+}
+
+TEST(Options, CacheEnvironmentSetsTheDefaults) {
+  setenv("T1000_CACHE_DIR", "/tmp/t1000-options-test-cache", 1);
+  setenv("T1000_CACHE_BUDGET_BYTES", "6000", 1);
+  Argv args({"bench"});
+  const BenchOptions env =
+      parse_bench_options(args.argc(), args.argv(), "bench", "");
+  EXPECT_EQ(env.grid.cache_dir, "/tmp/t1000-options-test-cache");
+  EXPECT_EQ(env.grid.cache_budget_bytes, 6000u);
+  // The flag still wins over the environment.
+  Argv flag({"bench", "--cache-budget-bytes", "7000"});
+  EXPECT_EQ(parse_bench_options(flag.argc(), flag.argv(), "bench", "")
+                .grid.cache_budget_bytes,
+            7000u);
+  unsetenv("T1000_CACHE_DIR");
+  unsetenv("T1000_CACHE_BUDGET_BYTES");
+  const BenchOptions defaults =
+      parse_bench_options(args.argc(), args.argv(), "bench", "");
+  EXPECT_EQ(defaults.grid.cache_dir, ".t1000-cache");
+  EXPECT_EQ(defaults.grid.cache_budget_bytes, 0u);
 }
 
 TEST(Options, BenchParsesFailureSemanticsFlags) {

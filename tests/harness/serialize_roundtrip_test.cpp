@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "harness/cache.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
 
@@ -27,7 +31,8 @@ TEST(SerializeRoundTrip, DefaultRunSpecSurvivesExactly) {
   EXPECT_EQ(to_json(back).dump(), j.dump());
 }
 
-TEST(SerializeRoundTrip, FullyCustomizedRunSpecSurvivesExactly) {
+// A spec whose members of every type and depth differ from the defaults.
+RunSpec customized_spec() {
   RunSpec spec = selective_spec("mpeg2_enc", "4pfu", 4, 10);
   spec.machine.fetch_width = 8;
   spec.machine.ruu_size = 128;
@@ -44,7 +49,11 @@ TEST(SerializeRoundTrip, FullyCustomizedRunSpecSurvivesExactly) {
   spec.max_cycles = 123456789u;
   spec.verify = true;
   spec.observe = true;
-  const Json j = to_json(spec);
+  return spec;
+}
+
+TEST(SerializeRoundTrip, FullyCustomizedRunSpecSurvivesExactly) {
+  const Json j = to_json(customized_spec());
   const RunSpec back = run_spec_from_json(j);
   EXPECT_EQ(to_json(back).dump(), j.dump());
 }
@@ -109,6 +118,9 @@ TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {
       "{\"workload\": \"epic\", \"machine\": {\"branch\": {\"knid\": "
       "\"gshare\"}}}",
       "knid");
+  expect_throw_containing(
+      "{\"workload\": \"epic\", \"machine\": {\"dl1\": {\"assco\": 2}}}",
+      "member \"dl1.assco\" is unknown");
 }
 
 TEST(SerializeRoundTrip, OutOfRangeNumbersAreRejectedByName) {
@@ -140,7 +152,7 @@ TEST(SerializeRoundTrip, OutOfRangeNumbersAreRejectedByName) {
     const std::string field(bad, std::string_view(bad).find('"'));
     expect_throw_containing(
         run + "\"policy\": {\"extract\": {\"" + bad + "}}}",
-        "extract policy: " + field + " must be in [1, ");
+        "select policy: extract." + field + " must be in [1, ");
   }
   // A cache entry's outcome goes through the same checked reader.
   Json outcome = to_json(RunOutcome{});
@@ -149,14 +161,12 @@ TEST(SerializeRoundTrip, OutOfRangeNumbersAreRejectedByName) {
 }
 
 TEST(SerializeRoundTrip, BadEnumNamesAreRejected) {
-  EXPECT_THROW(run_spec_from_json(Json::parse(
-                   "{\"workload\": \"epic\", \"selector\": \"wat\"}")),
-               JsonError);
-  EXPECT_THROW(
-      run_spec_from_json(Json::parse(
-          "{\"workload\": \"epic\", \"machine\": {\"branch\": {\"kind\": "
-          "\"oracle\"}}}")),
-      JsonError);
+  expect_throw_containing("{\"workload\": \"epic\", \"selector\": \"wat\"}",
+                          "member \"selector\" must be a known name");
+  expect_throw_containing(
+      "{\"workload\": \"epic\", \"machine\": {\"branch\": {\"kind\": "
+      "\"oracle\"}}}",
+      "member \"branch.kind\" must be a known name (got \"oracle\")");
 }
 
 TEST(SerializeRoundTrip, BranchPredictorNamesRoundTrip) {
@@ -170,6 +180,110 @@ TEST(SerializeRoundTrip, BranchPredictorNamesRoundTrip) {
   BranchPredictorKind out = BranchPredictorKind::kPerfect;
   EXPECT_FALSE(branch_predictor_from_name("oracle", &out));
   EXPECT_EQ(out, BranchPredictorKind::kPerfect);  // untouched on failure
+}
+
+TEST(SerializeRoundTrip, MistypedMembersAreNamed) {
+  // Each used to answer a bare "json: expected bool, have int", naming no
+  // member.
+  const std::string run = "{\"workload\": \"gsm_dec\", ";
+  expect_throw_containing(run + "\"verify\": 1}",
+                          "member \"verify\" must be a boolean");
+  expect_throw_containing(run + "\"policy\": {\"time_threshold\": \"x\"}}",
+                          "member \"time_threshold\" must be a number");
+  expect_throw_containing(run + "\"label\": 5}",
+                          "member \"label\" must be a string");
+  expect_throw_containing(
+      run + "\"machine\": {\"pfu\": {\"multi_cycle_ext\": \"yes\"}}}",
+      "member \"pfu.multi_cycle_ext\" must be a boolean");
+  expect_throw_containing(run + "\"machine\": {\"dl1\": 5}}",
+                          "member \"dl1\" must be an object");
+  expect_throw_containing(run + "\"machine\": 5}",
+                          "member \"machine\" must be an object");
+  expect_throw_containing(run + "\"machine\": {\"branch\": {\"kind\": 3}}}",
+                          "member \"branch.kind\" must be a string");
+  expect_throw_containing("{\"label\": \"x\"}",
+                          "member \"workload\" is missing");
+}
+
+TEST(SerializeRoundTrip, PolicyNumbersAreRangeChecked) {
+  // Each used to run as a silent baseline: a negative PFU count or LUT
+  // budget selects nothing.
+  const std::string run =
+      "{\"workload\": \"gsm_dec\", \"selector\": \"selective\", ";
+  expect_throw_containing(run + "\"policy\": {\"num_pfus\": -5}}",
+                          "num_pfus must be in [-1, 2048] (got -5)");
+  expect_throw_containing(run + "\"policy\": {\"num_pfus\": 2049}}",
+                          "num_pfus must be in [-1, 2048] (got 2049)");
+  expect_throw_containing(run + "\"policy\": {\"lut_budget\": -1}}",
+                          "lut_budget must be in [0, 2147483647] (got -1)");
+  expect_throw_containing(run + "\"policy\": {\"time_threshold\": -3}}",
+                          "time_threshold must be in [0, 1] (got -3)");
+  expect_throw_containing(run + "\"policy\": {\"time_threshold\": 1.5}}",
+                          "time_threshold must be in [0, 1] (got 1.5)");
+  for (const char* good :
+       {"\"num_pfus\": -1", "\"num_pfus\": 0", "\"num_pfus\": 2048",
+        "\"lut_budget\": 0", "\"time_threshold\": 0",
+        "\"time_threshold\": 1"}) {
+    EXPECT_NO_THROW(run_spec_from_json(
+        Json::parse(run + "\"policy\": {" + good + "}}")))
+        << good;
+  }
+}
+
+// The serialized bytes, pinned: the round trips above compare to_json with
+// itself, so a renamed or reordered member would pass them and change every
+// cache key and results document. Regenerate deliberately with
+//   T1000_REGEN_GOLDEN=1 ./harness_test --gtest_filter='SerializeGolden.*'
+TEST(SerializeGolden, DumpsMatchTheFixture) {
+  RunSpec plain;
+  plain.workload = "gsm_dec";
+  RunOutcome observed;
+  observed.stats.cycles = 57279;
+  observed.stats.committed = 74000;
+  observed.stats.il1 = {1000, 12, 0};
+  observed.stats.dl1 = {400, 30, 7};
+  observed.stats.l2 = {42, 9, 2};
+  observed.stats.itlb = {1000, 1, 0};
+  observed.stats.dtlb = {400, 2, 0};
+  observed.stats.pfu = {120, 110, 10};
+  observed.stats.branch = {900, 31, 20, 4};
+  observed.num_configs = 2;
+  observed.num_apps = 5;
+  observed.lengths = {3, 4};
+  observed.lut_costs = {17, 105};
+  observed.checksum = 0xDEADBEEF;
+  observed.trace_steps = 123456;
+  observed.trace_hash = 0x0123456789ABCDEFull;
+  observed.observed = true;
+  observed.stalls.cycles = 57279;
+  observed.stalls.commit_cycles = 40000;
+  for (int c = 0; c < kNumStallCauses; ++c) {
+    observed.stalls.causes[c] = static_cast<std::uint64_t>(c + 1) * 100;
+  }
+  const std::string text =
+      "run_spec.default " + to_json(plain).dump() + "\n" +
+      "run_spec.customized " + to_json(customized_spec()).dump() + "\n" +
+      "run_outcome.observed " + to_json(observed).dump() + "\n" +
+      "cache_key.customized " +
+      make_cache_key(customized_spec(), 0x1234u, 100u).text + "\n";
+  const std::string path =
+      std::string(T1000_GOLDEN_DIR) + "/serialized_bytes.txt";
+
+  if (std::getenv("T1000_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(os.is_open()) << "cannot write " << path;
+    os << text;
+    return;
+  }
+  std::ifstream is(path, std::ios::binary);
+  ASSERT_TRUE(is.is_open())
+      << "missing fixture " << path
+      << " — regenerate with T1000_REGEN_GOLDEN=1 (see the test comment)";
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  EXPECT_EQ(buf.str(), text)
+      << "serialized bytes drifted from the golden fixture; if the change "
+      << "is intended, regenerate with T1000_REGEN_GOLDEN=1 and review";
 }
 
 }  // namespace

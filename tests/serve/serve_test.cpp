@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/grid.hpp"
@@ -287,9 +288,57 @@ TEST(Service, DegenerateMachinesAndDeepBodiesAre400) {
       "\"policy\": {\"extract\": {\"max_inputs\": 0}}}]}",
       "max_inputs");
   expect_400_naming(std::string(100000, '['), "nesting");
+  // A negative PFU count or LUT budget used to select nothing and answer
+  // ok: a silent baseline.
+  const auto selective_with = [](const std::string& policy) {
+    return "{\"runs\": [{\"workload\": \"gsm_dec\", \"selector\": "
+           "\"selective\", \"machine\": {\"pfu\": {\"count\": 2}}, "
+           "\"policy\": " + policy + "}]}";
+  };
+  expect_400_naming(selective_with("{\"num_pfus\": -5}"), "num_pfus");
+  expect_400_naming(selective_with("{\"lut_budget\": -1}"), "lut_budget");
+  expect_400_naming(selective_with("{\"time_threshold\": -3}"),
+                    "time_threshold");
 
   const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
   EXPECT_EQ(list.at("jobs").size(), 0u);
+}
+
+TEST(Service, MistypedMembersAre400NamingThem) {
+  // Each used to answer a bare "json: expected bool, have int", naming no
+  // member. The daemon and --local share the parser, so both name it.
+  SimService service(ServiceOptions{});
+  const std::string run = "{\"runs\": [{\"workload\": \"gsm_dec\", ";
+  const std::pair<std::string, std::string> cases[] = {
+      {run + "\"verify\": 1}]}", "\"verify\""},
+      {run + "\"policy\": {\"time_threshold\": \"x\"}}]}",
+       "\"time_threshold\""},
+      {run + "\"label\": 5}]}", "\"label\""},
+      {run + "\"machine\": {\"pfu\": {\"multi_cycle_ext\": \"yes\"}}}]}",
+       "\"pfu.multi_cycle_ext\""},
+      {run + "\"machine\": {\"dl1\": 5}}]}", "\"dl1\""},
+      {run + "\"machine\": {\"branch\": {\"kind\": 3}}}]}",
+       "\"branch.kind\""},
+      {"{\"runs\": [{\"workload\": \"gsm_dec\"}], \"options\": "
+       "{\"verify\": 1}}",
+       "\"verify\""},
+  };
+  for (const auto& [body, member] : cases) {
+    const HttpResponse r = service.handle_http(post("/v1/jobs", body));
+    EXPECT_EQ(r.status, 400) << body;
+    EXPECT_NE(Json::parse(r.body).at("error").as_string().find("member " +
+                                                                member),
+              std::string::npos)
+        << r.body;
+    try {
+      service.run_local(Json::parse(body));
+      ADD_FAILURE() << "--local accepted " << body;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("member " + member),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Service, RoutesAndMethodsAreEnforced) {

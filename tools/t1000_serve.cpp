@@ -29,6 +29,7 @@
 #include <string>
 #include <thread>
 
+#include "harness/cache.hpp"
 #include "harness/grid.hpp"
 #include "harness/options.hpp"
 #include "serve/http.hpp"
@@ -80,18 +81,10 @@ int main(int argc, char** argv) {
   long port = 0;
   std::string port_file;
   long jobs = 0;
-  const char* cache_env = std::getenv("T1000_CACHE_DIR");
-  std::string cache_dir = cache_env != nullptr ? cache_env : ".t1000-cache";
+  const CacheDefaults cache = cache_defaults_from_env("t1000-serve");
+  std::string cache_dir = cache.dir;
   bool no_cache = false;
-  long cache_budget = 0;
-  if (const char* env = std::getenv("T1000_CACHE_BUDGET_BYTES")) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(env, &end, 10);
-    if (errno == 0 && end != nullptr && *end == '\0' && v >= 0) {
-      cache_budget = v;
-    }
-  }
+  long cache_budget = cache.budget_bytes;
   long queue_limit = 8;
   long max_retained_jobs = 1024;
   double run_budget_ms = 0.0;
