@@ -170,7 +170,7 @@ void BM_ReplayBatch(benchmark::State& state) {
 BENCHMARK(BM_ReplayBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Observed timing run (stall attribution + PFU timeline, no event trace)
+// Observed timing run (stall attribution, no event trace)
 // over a pre-recorded trace: the marginal cost of RunSpec::observe over
 // BM_ReplayTimingSim. The unobserved pipeline compiles the observation
 // layer out entirely, so BM_ReplayTimingSim itself is the "free when

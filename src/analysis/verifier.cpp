@@ -8,7 +8,6 @@
 
 #include "analysis/dataflow.hpp"
 #include "analysis/equiv.hpp"
-#include "analysis/ucode_check.hpp"
 #include "cfg/cfg.hpp"
 #include "cfg/liveness.hpp"
 #include "extinst/chain.hpp"
@@ -505,11 +504,6 @@ VerifyReport verify_module(const Program& program, const ExtInstTable* table,
   if (report.errors() == 0) {
     const Cfg cfg = Cfg::build(program);
     check_defs_before_uses(program, cfg, report);
-    // The decoded form every functional run executes (`ucode.*`): decode
-    // here and hold it to the source text, so a decoder regression fails
-    // verification before it can corrupt a trace.
-    const UopProgram ucode = UopProgram::build(program, table);
-    check_ucode(ucode, report);
   }
   report.timing.wellformed_ms = ms_since(start);
   report.timing.total_ms = report.timing.wellformed_ms;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "isa/encoding.hpp"
 #include "isa/opcode.hpp"
 #include "isa/reg.hpp"
 
@@ -183,6 +184,10 @@ int instr_count(const Stmt& st) {
   return 1;
 }
 
+// The data segment spans [kDataBase, kStackTop); the stack grows down from
+// its top.
+constexpr std::uint32_t kMaxDataBytes = kStackTop - kDataBase;
+
 class Assembler {
  public:
   explicit Assembler(std::string_view source) : stmts_(parse_lines(source)) {}
@@ -199,7 +204,7 @@ class Assembler {
   void pass1() {
     Segment seg = Segment::kText;
     int text_index = 0;
-    std::uint32_t data_off = 0;
+    std::uint64_t data_off = 0;
     for (const Stmt& st : stmts_) {
       for (const std::string& label : st.labels) {
         const bool dup = prog_.text_symbols.count(label) != 0 ||
@@ -208,7 +213,8 @@ class Assembler {
         if (seg == Segment::kText) {
           prog_.text_symbols[label] = text_index;
         } else {
-          prog_.data_symbols[label] = kDataBase + data_off;
+          prog_.data_symbols[label] =
+              kDataBase + static_cast<std::uint32_t>(data_off);
         }
       }
       if (st.head == ".label-only") continue;
@@ -219,6 +225,9 @@ class Assembler {
           throw AsmError(st.line, "data directive outside .data segment");
         }
         data_off += data_size(st, data_off);
+        if (data_off > kMaxDataBytes) {
+          throw AsmError(st.line, "data segment runs past the stack top");
+        }
         continue;
       }
       if (seg != Segment::kText) {
@@ -238,13 +247,23 @@ class Assembler {
         emit_data(st);
         continue;
       }
+      const std::size_t first = prog_.text.size();
       emit_instr(st);
+      // Refuse on the statement's line what the binary encoding cannot
+      // hold, so a program runs only if its object file could store it.
+      for (std::size_t i = first; i < prog_.text.size(); ++i) {
+        try {
+          encode(prog_.text[i], static_cast<std::uint32_t>(i));
+        } catch (const EncodingError& e) {
+          throw AsmError(st.line, e.what());
+        }
+      }
     }
   }
 
   // --- data segment ---
 
-  std::uint32_t data_size(const Stmt& st, std::uint32_t off) const {
+  std::uint64_t data_size(const Stmt& st, std::uint64_t off) const {
     const std::string& d = st.head;
     if (d == ".word") return 4 * static_cast<std::uint32_t>(st.operands.size());
     if (d == ".half") return 2 * static_cast<std::uint32_t>(st.operands.size());
@@ -253,13 +272,13 @@ class Assembler {
       const auto n = st.operands.size() == 1 ? parse_int(st.operands[0])
                                              : std::nullopt;
       if (!n || *n < 0) throw AsmError(st.line, ".space needs a size");
-      return static_cast<std::uint32_t>(*n);
+      return static_cast<std::uint64_t>(*n);
     }
     if (d == ".align") {
       const auto n = st.operands.size() == 1 ? parse_int(st.operands[0])
                                              : std::nullopt;
       if (!n || *n < 0 || *n > 12) throw AsmError(st.line, "bad .align");
-      const std::uint32_t a = 1u << *n;
+      const std::uint64_t a = 1u << *n;
       return (a - (off % a)) % a;
     }
     if (d == ".asciiz") {
@@ -313,8 +332,7 @@ class Assembler {
     } else if (d == ".byte") {
       for (const std::string& op : st.operands) push(data_value(st, op), 1);
     } else if (d == ".space" || d == ".align") {
-      const std::uint32_t n =
-          data_size(st, static_cast<std::uint32_t>(prog_.data.size()));
+      const std::uint64_t n = data_size(st, prog_.data.size());
       prog_.data.insert(prog_.data.end(), n, 0);
     } else if (d == ".asciiz") {
       for (const char c : string_operand(st)) {
@@ -520,10 +538,17 @@ class Assembler {
         push(make_imm(op, reg_operand(st, 0), reg_operand(st, 1),
                       imm_operand(st, 2)));
         return;
-      case OpKind::kLui:
+      case OpKind::kLui: {
         expect_operands(st, 2);
-        push(make_lui(reg_operand(st, 0), imm_operand(st, 1)));
+        // The encoder keeps only the low half; refuse the rest rather
+        // than truncate it.
+        const std::int32_t imm = imm_operand(st, 1);
+        if (imm < 0 || imm > 0xFFFF) {
+          throw AsmError(st.line, "immediate out of 16-bit range");
+        }
+        push(make_lui(reg_operand(st, 0), imm));
         return;
+      }
       case OpKind::kLoad:
       case OpKind::kStore: {
         expect_operands(st, 2);

@@ -446,8 +446,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   std::atomic<std::uint64_t> failures{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_runs{0};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
 
   // Every path below — a singleton group's run, a batch lane, a duplicate
   // served after its twin — ends a run through exactly one of skip, finish
@@ -455,14 +453,11 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   // which path produced it.
   const auto skip = [&](RunResult& out) {
     out.status = RunStatus::kSkipped;
-    out.error = options.strict
-                    ? "skipped: an earlier run failed in strict mode"
-                    : "skipped: the grid's fail limit was reached";
+    out.error = "skipped: the grid's fail limit was reached";
   };
   // A GridTimeoutError is a timeout, anything else an error of its
-  // classified kind. Trips the strict/fail-limit abort and keeps the first
-  // exception for strict mode's post-drain rethrow. Never lets a worker
-  // exit early — the queue must drain so every spec gets a status.
+  // classified kind. Trips the fail-limit abort. Never lets a worker exit
+  // early — the queue must drain so every spec gets a status.
   const auto fail = [&](RunResult& out, double wall_ms,
                         std::exception_ptr error) {
     out.wall_ms = wall_ms;
@@ -480,13 +475,8 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     if (metrics.incomplete != nullptr) metrics.incomplete->add(1);
     const std::uint64_t count =
         failures.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options.strict ||
-        (options.fail_limit > 0 && count >= options.fail_limit)) {
+    if (options.fail_limit > 0 && count >= options.fail_limit) {
       abort.store(true, std::memory_order_relaxed);
-    }
-    if (options.strict) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::move(error);
     }
   };
   // A run whose outcome is in hand, from the cache or a simulation. The
@@ -655,7 +645,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-  if (options.strict && first_error) std::rethrow_exception(first_error);
 
   EngineStats engine;
   engine.jobs = jobs;
@@ -714,6 +703,7 @@ BenchOptions parse_bench_options(int argc, char** argv,
   double run_budget_ms = 0.0;
   bool no_cache = false;
   bool no_batch = false;
+  bool strict = false;
   OptionParser parser(name, summary);
   parser.add_int("--jobs", "N", "worker threads (default: all hardware threads)",
                  &jobs, 0, kMaxJobs);
@@ -755,9 +745,9 @@ BenchOptions parse_bench_options(int argc, char** argv,
                  "64 MiB)",
                  &journal_max_bytes, 1, std::numeric_limits<long>::max());
   parser.add_flag("--strict",
-                  "abort the grid on the first failing run (default: record "
-                  "the failure and keep going)",
-                  &out.grid.strict);
+                  "skip the remaining runs after the first failing one "
+                  "(default: record the failure and keep going)",
+                  &strict);
   parser.add_flag("--keep-going",
                   "exit 0 even when some runs failed (failures still show in "
                   "the summary and JSON)",
@@ -772,6 +762,7 @@ BenchOptions parse_bench_options(int argc, char** argv,
   out.grid.jobs = static_cast<int>(jobs);
   out.grid.run_budget_ms = run_budget_ms;
   out.grid.batch = !no_batch;
+  if (strict) out.grid.fail_limit = 1;
   out.grid.cache_budget_bytes = static_cast<std::uint64_t>(cache_budget);
   if (no_cache) out.grid.cache_dir.clear();
   if (!out.metrics_path.empty()) {

@@ -47,12 +47,12 @@ namespace t1000 {
 
 // How one queued RunSpec ended. A failing run no longer aborts the grid:
 // the failure is recorded here and the workers keep draining the queue
-// (GridOptions::strict restores the old fail-fast rethrow).
+// (GridOptions::fail_limit skips what is left once enough runs failed).
 enum class RunStatus {
   kOk,       // outcome is valid
   kError,    // run threw; see RunResult::error_kind / error
   kTimeout,  // exceeded GridOptions::run_budget_ms (or a hook-raised budget)
-  kSkipped,  // never executed: an earlier failure tripped strict/fail_limit
+  kSkipped,  // never executed: an earlier failure tripped fail_limit
 };
 
 // Coarse taxonomy of what threw, so sweeps over thousands of runs can be
@@ -96,10 +96,6 @@ struct GridOptions {
   // this grid's own lookups and stores alone, even while other grids use
   // the same cache. Must outlive run(); thread-safe.
   ResultCache* cache = nullptr;
-  // Fail-fast mode: the first failing run aborts the grid and rethrows its
-  // exception after the pool drains (the pre-fault-isolation contract,
-  // kept for tests that want a hard stop).
-  bool strict = false;
   // Per-run wall-clock budget in milliseconds; 0 = unlimited. A run that
   // exceeds it is recorded as RunStatus::kTimeout instead of kOk, turning
   // runaway simulations into a diagnosable outcome rather than a hung
@@ -107,7 +103,7 @@ struct GridOptions {
   double run_budget_ms = 0.0;
   // Degraded-grid circuit breaker: once this many runs have failed or
   // timed out, remaining unstarted specs are marked kSkipped instead of
-  // executed; 0 = no limit.
+  // executed; 0 = no limit. The benches' --strict sets 1.
   std::uint64_t fail_limit = 0;
   // Pre-flight static verification (--verify): forces RunSpec::verify on
   // every queued spec before scheduling, so each distinct (workload,
@@ -258,9 +254,7 @@ class ExperimentGrid {
   // Executes every queued spec and returns results in insertion order.
   // A failing spec is recorded in its RunResult (status + taxonomy +
   // message) while the rest of the grid keeps running; the grid only
-  // throws for infrastructure errors outside any one run, or when
-  // options.strict rethrows the first per-run failure after the pool
-  // drains.
+  // throws for infrastructure errors outside any one run.
   GridResult run(const GridOptions& options = {}) const;
 
   // True when the memory tier of `cache` holds the outcome of every queued

@@ -22,6 +22,18 @@
 namespace t1000::serve {
 namespace {
 
+// Listen-queue length handed to listen(2).
+constexpr int kBacklog = 64;
+// Per-socket receive timeout: a client that connects and never sends a
+// complete request is dropped after this long, so a stalled peer can never
+// pin a handler thread.
+constexpr int kRecvTimeoutMs = 5000;
+// Requests with a larger declared or received body are answered 413.
+constexpr std::size_t kMaxBodyBytes = 8u << 20;
+// Accepted-but-not-yet-handled connection queue bound; overflow is answered
+// 503 by the accept thread.
+constexpr std::size_t kPendingConnections = 64;
+
 // Sends the whole buffer, tolerating short writes; returns false once the
 // peer is gone (the chunked streamer uses that to stop). MSG_NOSIGNAL
 // turns a peer that hung up into EPIPE instead of a process-killing
@@ -59,7 +71,7 @@ bool iprefix(const std::string& line, std::string_view prefix) {
 // Reads one request off the socket. Returns the status to fail with (0 =
 // success): 400 malformed, 408 timed out / disconnected mid-request, 413
 // too large.
-int read_request(int fd, std::size_t max_body_bytes, HttpRequest* out) {
+int read_request(int fd, HttpRequest* out) {
   std::string buf;
   std::size_t header_end = std::string::npos;
   char chunk[4096];
@@ -69,7 +81,7 @@ int read_request(int fd, std::size_t max_body_bytes, HttpRequest* out) {
     if (n <= 0) return 408;
     buf.append(chunk, static_cast<std::size_t>(n));
     header_end = buf.find("\r\n\r\n");
-    if (header_end == std::string::npos && buf.size() > max_body_bytes) {
+    if (header_end == std::string::npos && buf.size() > kMaxBodyBytes) {
       return 413;
     }
   }
@@ -120,7 +132,7 @@ int read_request(int fd, std::size_t max_body_bytes, HttpRequest* out) {
       content_length = static_cast<std::size_t>(v);
     }
   }
-  if (content_length > max_body_bytes) return 413;
+  if (content_length > kMaxBodyBytes) return 413;
 
   out->body = buf.substr(header_end + 4);
   while (out->body.size() < content_length) {
@@ -128,7 +140,7 @@ int read_request(int fd, std::size_t max_body_bytes, HttpRequest* out) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return 408;
     out->body.append(chunk, static_cast<std::size_t>(n));
-    if (out->body.size() > max_body_bytes) return 413;
+    if (out->body.size() > kMaxBodyBytes) return 413;
   }
   out->body.resize(content_length);
   return 0;
@@ -229,7 +241,7 @@ struct HttpServer::Impl {
 
   void handle_connection(int fd) {
     HttpRequest request;
-    const int fail = read_request(fd, options.max_body_bytes, &request);
+    const int fail = read_request(fd, &request);
     if (fail != 0) {
       // 408 from a peer that sent nothing at all is just a dropped
       // connection; answering is best-effort either way.
@@ -273,22 +285,20 @@ struct HttpServer::Impl {
         }
         return;  // listen socket closed by stop()
       }
-      if (options.recv_timeout_ms > 0) {
-        // On the *accepted* socket only: SO_RCVTIMEO on the listening
-        // socket would also time out accept() itself and feed this loop
-        // spurious EAGAINs.
-        struct timeval tv;
-        tv.tv_sec = options.recv_timeout_ms / 1000;
-        tv.tv_usec = (options.recv_timeout_ms % 1000) * 1000;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      }
+      // On the *accepted* socket only: SO_RCVTIMEO on the listening
+      // socket would also time out accept() itself and feed this loop
+      // spurious EAGAINs.
+      struct timeval tv;
+      tv.tv_sec = kRecvTimeoutMs / 1000;
+      tv.tv_usec = (kRecvTimeoutMs % 1000) * 1000;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
       {
         std::lock_guard<std::mutex> lock(mu);
         if (stopping) {
           ::close(fd);
           return;
         }
-        if (pending.size() < options.pending_connections) {
+        if (pending.size() < kPendingConnections) {
           pending.push_back(fd);
           cv.notify_one();
           continue;
@@ -341,7 +351,7 @@ bool HttpServer::start(std::string* error) {
     ::close(fd);
     return false;
   }
-  if (::listen(fd, opt.backlog) < 0) {
+  if (::listen(fd, kBacklog) < 0) {
     if (error != nullptr) *error = "listen: " + std::string(strerror(errno));
     ::close(fd);
     return false;

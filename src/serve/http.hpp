@@ -72,16 +72,6 @@ class HttpServer {
     std::string host = "127.0.0.1";
     int port = 0;  // 0 = ephemeral; the bound port is port() after start
     int handler_threads = 4;
-    int backlog = 64;
-    // Per-socket receive timeout: a client that connects and never sends a
-    // complete request is dropped after this long, so a stalled peer can
-    // never pin a handler thread.
-    int recv_timeout_ms = 5000;
-    // Requests with a larger declared or received body are answered 413.
-    std::size_t max_body_bytes = 8u << 20;
-    // Accepted-but-not-yet-handled connection queue bound; overflow is
-    // answered 503 by the accept thread.
-    std::size_t pending_connections = 64;
   };
 
   HttpServer(Options options, HttpHandler handler);

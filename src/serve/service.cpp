@@ -115,6 +115,9 @@ bool SimService::shutdown_requested() const {
 
 SimService::ParsedRequest SimService::parse_request(
     const Json& request) const {
+  // Each level that must be an object is named, as the member readers name
+  // a member ("member \"dl1\" must be an object").
+  if (!request.is_object()) throw JsonError("grid request must be an object");
   for (const auto& member : request.members()) {
     if (member.first != "runs" && member.first != "options") {
       throw JsonError("unknown member \"" + member.first +
@@ -128,6 +131,9 @@ SimService::ParsedRequest SimService::parse_request(
   parsed.options.fail_limit = options_.fail_limit;
 
   if (const Json* opts = request.find("options")) {
+    if (!opts->is_object()) {
+      throw JsonError("member \"options\" must be an object");
+    }
     for (const auto& member : opts->members()) {
       const std::string& name = member.first;
       const Json& value = member.second;
@@ -164,6 +170,10 @@ SimService::ParsedRequest SimService::parse_request(
   }
   parsed.specs.reserve(runs.size());
   for (const Json& spec_json : runs.items()) {
+    if (!spec_json.is_object()) {
+      throw JsonError("member \"runs[" + std::to_string(parsed.specs.size()) +
+                      "]\" must be an object");
+    }
     RunSpec spec = run_spec_from_json(spec_json);
     if (find_workload(spec.workload) == nullptr) {
       throw JsonError("unknown workload \"" + spec.workload + "\"");

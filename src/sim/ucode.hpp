@@ -27,10 +27,11 @@
 //
 // The dispatch loop itself (ucode.cpp) is computed goto, one indirect
 // branch per handler; the build requires a compiler with labels as values
-// (GCC, Clang). The `ucode.*` verifier rule family
-// (analysis/ucode_check.hpp) structurally re-checks a decoded stream
-// against its source program, which is what makes this form trustworthy
-// enough to be the only functional path.
+// (GCC, Clang). This form is trusted as the only functional path because
+// of the tests under tests/sim/: the differential and fuzz suites run it
+// in lockstep with the reference interpreter, the golden fixtures pin the
+// disassembly of three decode corners, and the decode table pins the
+// lowering of every opcode and every irregular case.
 #pragma once
 
 #include <cstdint>

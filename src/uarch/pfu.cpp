@@ -25,9 +25,7 @@ std::uint64_t PfuBank::request(ConfId conf, std::uint64_t now) {
     Unit& unit = units_[static_cast<std::size_t>(held)];
     unit.last_use = tick_;
     ++stats_.hits;  // tag match; may still wait on an in-flight load
-    const std::uint64_t ready = unit.ready_at <= now ? now : unit.ready_at;
-    if (listener_ != nullptr) listener_->on_pfu_hit(held, conf, now, ready);
-    return ready;
+    return unit.ready_at <= now ? now : unit.ready_at;
   }
 
   if (unlimited()) {

@@ -21,17 +21,13 @@ struct PfuStats {
   std::uint64_t reconfigurations = 0;
 };
 
-// Per-unit observation hooks for the bank's decode-stage traffic. The
-// default listener is null and costs one predictable branch per EXT decode;
-// listeners must not influence timing — PfuStats (and thus SimStats) are
-// identical with and without one attached.
+// Observation hook for the bank's reconfigurations. The default listener
+// is null and costs one predictable branch per reconfiguration; listeners
+// must not influence timing — PfuStats (and thus SimStats) are identical
+// with and without one attached.
 class PfuListener {
  public:
   virtual ~PfuListener() = default;
-  // Tag match on `unit`; the instruction may issue at `ready` (== `now`
-  // unless the unit's configuration load is still in flight).
-  virtual void on_pfu_hit(int unit, ConfId conf, std::uint64_t now,
-                          std::uint64_t ready) = 0;
   // Reconfiguration of `unit` to `conf` spanning [start, ready); `evicted`
   // is the configuration overwritten (kInvalidConf for a cold unit).
   virtual void on_pfu_reconfig(int unit, ConfId conf, ConfId evicted,

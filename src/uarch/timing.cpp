@@ -115,7 +115,7 @@ class RecordingObserver final : public PfuListener {
       : out_(out), want_trace_(out->want_trace) {}
 
   void attach(PfuBank* bank, int ruu_size) {
-    bank->set_listener(this);
+    if (want_trace_) bank->set_listener(this);
     slots_ = static_cast<std::size_t>(ruu_size);
     issue_cycle_.assign(slots_, 0);
   }
@@ -157,26 +157,19 @@ class RecordingObserver final : public PfuListener {
     out_->trace.end(now, kPipePid, tid);
   }
 
-  // PfuListener: decode-stage bank traffic.
-  void on_pfu_hit(int unit, ConfId, std::uint64_t, std::uint64_t) override {
-    ++unit_counters(unit).hits;
-  }
+  // PfuListener, attached only to traced runs: one slice per
+  // reconfiguration on its unit's row.
   void on_pfu_reconfig(int unit, ConfId conf, ConfId evicted,
                        std::uint64_t start, std::uint64_t ready) override {
-    out_->pfu_spans.push_back({unit, conf, evicted, start, ready});
-    PfuUnitCounters& c = unit_counters(unit);
-    ++c.reconfigurations;
-    if (evicted != kInvalidConf) ++c.evictions;
-    c.busy_cycles += ready - start;
-    if (want_trace_) {
-      Json args = Json::object();
-      args["conf"] = Json(static_cast<int>(conf));
-      if (evicted != kInvalidConf) {
-        args["evicted"] = Json(static_cast<int>(evicted));
-      }
-      out_->trace.begin("reconfigure", start, kPfuPid, unit, std::move(args));
-      out_->trace.end(ready, kPfuPid, unit);
+    const auto row = static_cast<std::size_t>(unit);
+    if (row >= used_units_) used_units_ = row + 1;
+    Json args = Json::object();
+    args["conf"] = Json(static_cast<int>(conf));
+    if (evicted != kInvalidConf) {
+      args["evicted"] = Json(static_cast<int>(evicted));
     }
+    out_->trace.begin("reconfigure", start, kPfuPid, unit, std::move(args));
+    out_->trace.end(ready, kPfuPid, unit);
   }
 
   void finish() {
@@ -186,9 +179,9 @@ class RecordingObserver final : public PfuListener {
       out_->trace.name_thread(kPipePid, static_cast<int>(i),
                               "ruu[" + std::to_string(i) + "]");
     }
-    if (!out_->pfu_units.empty()) {
+    if (used_units_ > 0) {
       out_->trace.name_process(kPfuPid, "pfu bank");
-      for (std::size_t i = 0; i < out_->pfu_units.size(); ++i) {
+      for (std::size_t i = 0; i < used_units_; ++i) {
         out_->trace.name_thread(kPfuPid, static_cast<int>(i),
                                 "pfu[" + std::to_string(i) + "]");
       }
@@ -196,17 +189,11 @@ class RecordingObserver final : public PfuListener {
   }
 
  private:
-  PfuUnitCounters& unit_counters(int unit) {
-    if (static_cast<std::size_t>(unit) >= out_->pfu_units.size()) {
-      out_->pfu_units.resize(static_cast<std::size_t>(unit) + 1);
-    }
-    return out_->pfu_units[static_cast<std::size_t>(unit)];
-  }
-
   SimObservation* out_;
   const bool want_trace_;
   std::size_t slots_ = 0;
   std::size_t used_slots_ = 0;
+  std::size_t used_units_ = 0;  // rows up to the highest unit traced
   std::vector<std::uint64_t> issue_cycle_;  // per slot, of the occupant
   bool fetch_stall_is_branch_ = false;
 };

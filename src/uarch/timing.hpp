@@ -104,35 +104,15 @@ struct StallBreakdown {
   void accumulate(const StallBreakdown& other);
 };
 
-// One PFU reconfiguration: `unit` loads `conf` over [start, ready),
-// overwriting `evicted` (kInvalidConf for a cold unit).
-struct PfuReconfigSpan {
-  int unit = 0;
-  ConfId conf = kInvalidConf;
-  ConfId evicted = kInvalidConf;
-  std::uint64_t start = 0;
-  std::uint64_t ready = 0;
-};
-
-// Per-PFU occupancy summary derived from the decode-stage traffic.
-struct PfuUnitCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t reconfigurations = 0;
-  std::uint64_t evictions = 0;     // reconfigurations over a live conf
-  std::uint64_t busy_cycles = 0;   // cycles spent loading configurations
-};
-
 // Observation sink for one timing run. Set `want_trace` before the run to
-// additionally record per-instruction lifecycle slices into `trace`
-// (stall attribution and the PFU timeline are always filled). Observation
-// never changes SimStats — the observed and unobserved paths are held to
-// byte-identical statistics by tests.
+// additionally record per-instruction lifecycle slices and PFU
+// reconfiguration slices into `trace` (stall attribution is always
+// filled). Observation never changes SimStats — the observed and
+// unobserved paths are held to byte-identical statistics by tests.
 struct SimObservation {
-  bool want_trace = false;              // in: record event slices too
-  StallBreakdown stalls;                // out
-  std::vector<PfuReconfigSpan> pfu_spans;  // out: reconfiguration timeline
-  std::vector<PfuUnitCounters> pfu_units;  // out: per-unit occupancy
-  obs::TraceEventLog trace;             // out: filled when want_trace
+  bool want_trace = false;   // in: record event slices too
+  StallBreakdown stalls;     // out
+  obs::TraceEventLog trace;  // out: filled when want_trace
 };
 
 // --- the SimRequest API ---
@@ -160,8 +140,8 @@ struct SimRequest {
   const CommittedTrace* trace = nullptr;
   MachineConfig machine;
   std::uint64_t max_cycles = 1ull << 32;  // SimError past this bound
-  // Opts into the observability layer (stall-cause attribution, PFU
-  // timeline, optional event trace). When null — the default — the
+  // Opts into the observability layer (stall-cause attribution, optional
+  // event trace). When null — the default — the
   // pipeline is instantiated with the no-op observer and the observation
   // code is compiled out entirely: the disabled path costs nothing and
   // observation never changes SimStats (pinned by tests).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "isa/instruction.hpp"
 
 namespace t1000 {
@@ -310,6 +313,50 @@ TEST(AssemblerErrors, BadMemOperand) {
 
 TEST(AssemblerErrors, ConfOutOfRange) {
   EXPECT_THROW(assemble("ext $t0, $t1, $t2, 2048"), AsmError);
+}
+
+TEST(AssemblerErrors, ImmediatesTheEncodingCannotHoldNameTheirLine) {
+  // Each used to assemble and run, while t1000-as refused the same file
+  // naming no line; lui truncated its immediate silently.
+  const std::pair<const char*, const char*> cases[] = {
+      {"addiu $v0, $zero, 99999", "immediate out of signed 16-bit range"},
+      {"ori $v0, $zero, -1", "immediate out of 16-bit range"},
+      {"andi $v0, $zero, 70000", "immediate out of 16-bit range"},
+      {"slti $v0, $zero, -40000", "immediate out of signed 16-bit range"},
+      {"lw $v0, 40000($zero)", "displacement out of signed 16-bit range"},
+      {"lui $v0, 70000", "immediate out of 16-bit range"},
+  };
+  for (const auto& [line, message] : cases) {
+    try {
+      assemble(std::string(line) + "\nhalt\n");
+      ADD_FAILURE() << "assembled " << line;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(e.line(), 1) << line;
+      EXPECT_EQ(std::string(e.what()), std::string("line 1: ") + message)
+          << line;
+    }
+  }
+}
+
+TEST(AssemblerErrors, DataPastTheStackTopNamesItsLine) {
+  // A .space past 2^32 bytes used to wrap silently (to 0 and 16 bytes
+  // here), and one below it allocated that much zeroed data.
+  for (const char* size : {"4294967296", "0x100000010", "0x70000000"}) {
+    try {
+      assemble(std::string("  .data\nbuf: .space ") + size + "\n");
+      ADD_FAILURE() << "assembled .space " << size;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "line 2: data segment runs past the stack top")
+          << size;
+    }
+  }
+  try {
+    assemble("  .data\na: .space 0x6FFFF000\nb: .word 1\n");
+    ADD_FAILURE() << "assembled a data segment past the stack top";
+  } catch (const AsmError& e) {
+    EXPECT_EQ(e.line(), 3);
+  }
 }
 
 TEST(AssemblerErrors, ReportsLineNumber) {

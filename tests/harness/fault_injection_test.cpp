@@ -189,16 +189,6 @@ TEST(FaultInjection, ErrorTaxonomyClassifiesEachKind) {
   }
 }
 
-TEST(FaultInjection, StrictModeStillRethrows) {
-  const ExperimentGrid grid = tiny_grid();
-  GridOptions opts;
-  opts.jobs = 1;
-  opts.strict = true;
-  opts.fault_hook =
-      poison("gsm_dec", "a", [] { throw SimError("strict boom"); });
-  EXPECT_THROW(grid.run(opts), SimError);
-}
-
 TEST(FaultInjection, HookRaisedTimeoutIsRecordedAsTimeout) {
   const ExperimentGrid grid = tiny_grid();
   GridOptions opts;

@@ -599,13 +599,6 @@ TEST(Grid, EarlyReleaseCountsRunsBeforeFailLimitSkips) {
   // baseline run replayed the former.
   EXPECT_EQ(res.engine().traces_recorded, 2u);
   EXPECT_EQ(res.engine().trace_replays, 1u);
-
-  // Strict mode skips the same groups, then rethrows the failure.
-  options.strict = true;
-  for (const int jobs : {1, 4}) {
-    options.jobs = jobs;
-    EXPECT_THROW(grid.run(options), SimError) << "jobs " << jobs;
-  }
 }
 
 TEST(Grid, GreedyOnAMachineWithoutPfusFailsAlone) {

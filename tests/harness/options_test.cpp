@@ -149,7 +149,7 @@ TEST(Options, BenchParsesFailureSemanticsFlags) {
   const BenchOptions opts =
       parse_bench_options(args.argc(), args.argv(), "bench", "");
   EXPECT_EQ(opts.grid.jobs, 2);
-  EXPECT_TRUE(opts.grid.strict);
+  EXPECT_EQ(opts.grid.fail_limit, 1u);
   EXPECT_TRUE(opts.keep_going);
   EXPECT_DOUBLE_EQ(opts.grid.run_budget_ms, 125.5);
   EXPECT_TRUE(opts.grid.cache_dir.empty());

@@ -307,35 +307,39 @@ TEST(Service, DegenerateMachinesAndDeepBodiesAre400) {
 TEST(Service, MistypedMembersAre400NamingThem) {
   // Each used to answer a bare "json: expected bool, have int", naming no
   // member. The daemon and --local share the parser, so both name it.
+  // Runs and options that are not objects, and a request that is not one,
+  // used to answer a bare "json: expected object, have int".
   SimService service(ServiceOptions{});
   const std::string run = "{\"runs\": [{\"workload\": \"gsm_dec\", ";
   const std::pair<std::string, std::string> cases[] = {
-      {run + "\"verify\": 1}]}", "\"verify\""},
+      {run + "\"verify\": 1}]}", "member \"verify\""},
       {run + "\"policy\": {\"time_threshold\": \"x\"}}]}",
-       "\"time_threshold\""},
-      {run + "\"label\": 5}]}", "\"label\""},
+       "member \"time_threshold\""},
+      {run + "\"label\": 5}]}", "member \"label\""},
       {run + "\"machine\": {\"pfu\": {\"multi_cycle_ext\": \"yes\"}}}]}",
-       "\"pfu.multi_cycle_ext\""},
-      {run + "\"machine\": {\"dl1\": 5}}]}", "\"dl1\""},
+       "member \"pfu.multi_cycle_ext\""},
+      {run + "\"machine\": {\"dl1\": 5}}]}", "member \"dl1\""},
       {run + "\"machine\": {\"branch\": {\"kind\": 3}}}]}",
-       "\"branch.kind\""},
+       "member \"branch.kind\""},
       {"{\"runs\": [{\"workload\": \"gsm_dec\"}], \"options\": "
        "{\"verify\": 1}}",
-       "\"verify\""},
+       "member \"verify\""},
+      {"{\"runs\": [5]}", "member \"runs[0]\" must be an object"},
+      {"{\"runs\": [{\"workload\": \"gsm_dec\"}], \"options\": 5}",
+       "member \"options\" must be an object"},
+      {"[1]", "grid request must be an object"},
   };
-  for (const auto& [body, member] : cases) {
+  for (const auto& [body, named] : cases) {
     const HttpResponse r = service.handle_http(post("/v1/jobs", body));
     EXPECT_EQ(r.status, 400) << body;
-    EXPECT_NE(Json::parse(r.body).at("error").as_string().find("member " +
-                                                                member),
+    EXPECT_NE(Json::parse(r.body).at("error").as_string().find(named),
               std::string::npos)
         << r.body;
     try {
       service.run_local(Json::parse(body));
       ADD_FAILURE() << "--local accepted " << body;
     } catch (const JsonError& e) {
-      EXPECT_NE(std::string(e.what()).find("member " + member),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
           << e.what();
     }
   }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ucode_check.hpp"
 #include "harness/experiment.hpp"
 #include "harness/serialize.hpp"
 #include "sim/trace.hpp"
@@ -81,11 +80,6 @@ TEST_P(UcodeDifferential, TraceAndStatsMatchReferenceInterpreter) {
     ASSERT_NE(view.ucode, nullptr);
     const std::string tag =
         w.name + " / " + std::string(selector_name(selector));
-
-    // The decoded stream the preparation executed from must itself pass
-    // the structural `ucode.*` rule family.
-    const VerifyReport decoded = verify_ucode(*view.ucode);
-    EXPECT_EQ(decoded.errors(), 0) << tag;
 
     // The harness recorded view.trace through the uop path; re-record the
     // very same rewritten program through the reference interpreter.

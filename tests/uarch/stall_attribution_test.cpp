@@ -8,8 +8,10 @@
 // timing_golden_test.cpp so each dominant cause is known by construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "asmkit/assembler.hpp"
 #include "harness/serialize.hpp"
@@ -152,6 +154,7 @@ TEST(StallAttribution, ObservationNeverPerturbsSimStats) {
 TEST(StallAttribution, ExtBlockedChargesReconfigurationWait) {
   const Scenario s = ext_blocked();
   SimObservation obs;
+  obs.want_trace = true;
   const SimStats st =
       simulate({.program = &s.program, .ext_table = s.table_ptr(), .machine = s.machine, .observation = &obs});
   // Every EXT in the steady state waits behind a 10-cycle configuration
@@ -159,21 +162,23 @@ TEST(StallAttribution, ExtBlockedChargesReconfigurationWait) {
   EXPECT_GT(obs.stalls.of(StallCause::kExtReconfig), 0u);
   EXPECT_GT(obs.stalls.of(StallCause::kExtReconfig),
             obs.stalls.stall_cycles() / 2);
-  // The PFU timeline agrees with the aggregate PFU statistics.
+  // The traced reconfigure slices agree with the aggregate PFU statistics:
+  // one per reconfiguration, each as long as a load, all on the one PFU.
+  const std::vector<obs::TraceEvent>& events = obs.trace.events();
   std::uint64_t reconfigs = 0;
-  std::uint64_t hits = 0;
-  for (const PfuUnitCounters& u : obs.pfu_units) {
-    reconfigs += u.reconfigurations;
-    hits += u.hits;
+  for (auto b = events.begin(); b != events.end(); ++b) {
+    if (b->ph != 'B' || b->name != "reconfigure") continue;
+    ++reconfigs;
+    EXPECT_EQ(b->tid, 0);  // single-PFU machine
+    const auto e = std::find_if(b + 1, events.end(), [&](const auto& ev) {
+      return ev.pid == b->pid && ev.tid == b->tid;
+    });
+    ASSERT_NE(e, events.end());
+    EXPECT_EQ(e->ph, 'E');
+    EXPECT_EQ(e->ts - b->ts,
+              static_cast<std::uint64_t>(s.machine.pfu.reconfig_latency));
   }
   EXPECT_EQ(reconfigs, st.pfu.reconfigurations);
-  EXPECT_EQ(hits, st.pfu.hits);
-  EXPECT_EQ(obs.pfu_spans.size(), st.pfu.reconfigurations);
-  for (const PfuReconfigSpan& span : obs.pfu_spans) {
-    EXPECT_EQ(span.ready - span.start,
-              static_cast<std::uint64_t>(s.machine.pfu.reconfig_latency));
-    EXPECT_EQ(span.unit, 0);  // single-PFU machine
-  }
 }
 
 TEST(StallAttribution, MispredictedBranchesChargeFetch) {
