@@ -1,5 +1,6 @@
 #include "asmkit/assembler.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdint>
@@ -138,8 +139,19 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), value, base);
   if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  // Past the int64 range the value would wrap (2^64 - 1 to -1).
+  if (value > static_cast<std::uint64_t>(INT64_MAX)) return std::nullopt;
   std::int64_t v = static_cast<std::int64_t>(value);
   return neg ? -v : v;
+}
+
+// An operand for a 32-bit instruction field. Every field is narrower than
+// 32 bits, so a value outside the int32 range saturates and the field's own
+// range check (the encoder's, or the assembler's) refuses it as it is,
+// where its low 32 bits might pass.
+std::int32_t saturate32(std::int64_t v) {
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(v, INT32_MIN, INT32_MAX));
 }
 
 // True when `s` syntactically can be a label reference.
@@ -174,8 +186,8 @@ int instr_count(const Stmt& st) {
   if (m == "li") {
     if (st.operands.size() == 2) {
       if (const auto v = parse_int(st.operands[1])) {
-        // imm_operand truncates immediates to their 32-bit pattern; size
-        // the same value emit_li will see.
+        // emit_li takes the 32-bit pattern of a value in its window (and
+        // refuses the rest); size the same value.
         return li_length(static_cast<std::int32_t>(*v));
       }
     }
@@ -355,12 +367,14 @@ class Assembler {
     return static_cast<Reg>(r);
   }
 
-  std::int32_t imm_operand(const Stmt& st, std::size_t i) const {
+  std::int64_t wide_operand(const Stmt& st, std::size_t i) const {
     if (i >= st.operands.size()) throw AsmError(st.line, "missing operand");
-    if (const auto v = parse_int(st.operands[i])) {
-      return static_cast<std::int32_t>(*v);
-    }
+    if (const auto v = parse_int(st.operands[i])) return *v;
     throw AsmError(st.line, "bad immediate '" + st.operands[i] + "'");
+  }
+
+  std::int32_t imm_operand(const Stmt& st, std::size_t i) const {
+    return saturate32(wide_operand(st, i));
   }
 
   // Resolves a label (or "@N") to a *text index*.
@@ -369,7 +383,7 @@ class Assembler {
     const std::string& t = st.operands[i];
     if (!t.empty() && t.front() == '@') {
       if (const auto v = parse_int(std::string_view(t).substr(1))) {
-        return static_cast<std::int32_t>(*v);
+        return saturate32(*v);
       }
       throw AsmError(st.line, "bad target '" + t + "'");
     }
@@ -409,7 +423,7 @@ class Assembler {
     *disp = 0;
     if (!disp_text.empty()) {
       if (const auto v = parse_int(disp_text)) {
-        *disp = static_cast<std::int32_t>(*v);
+        *disp = saturate32(*v);
       } else {
         throw AsmError(st.line, "bad displacement");
       }
@@ -432,7 +446,12 @@ class Assembler {
   void emit_li(const Stmt& st) {
     expect_operands(st, 2);
     const Reg rd = reg_operand(st, 0);
-    const std::int32_t v = imm_operand(st, 1);
+    // Any 32-bit pattern, written signed or unsigned.
+    const std::int64_t wide = wide_operand(st, 1);
+    if (wide < INT32_MIN || wide > UINT32_MAX) {
+      throw AsmError(st.line, "immediate out of 32-bit range");
+    }
+    const auto v = static_cast<std::int32_t>(wide);
     const std::int32_t hi = static_cast<std::int32_t>(
         (static_cast<std::uint32_t>(v) >> 16) & 0xFFFF);
     if (li_length(v) == 1) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "harness/identity.hpp"
+#include "harness/json.hpp"
 #include "harness/serialize.hpp"
 #include "sim/trace.hpp"
 
@@ -24,6 +25,30 @@ std::string prep_key(const RunSpec& spec) {
 // the key automatically — exactly how RunIdentity handles the result cache.
 std::string extract_key(const ExtractPolicy& policy) {
   return to_json(policy).dump();
+}
+
+// Memoization key for a timing run: exactly what the pipeline reads. The
+// trace's text fingerprint and content hash stand for the program and its
+// committed stream (program_hash() would not do: the encoding cannot see a
+// MIMO EXT's operands), the definition signatures for the EXT table, and
+// the effective machine (uarch/timing.hpp) for the machine, so a bank that
+// never evicts shares its run with the unlimited bank.
+std::string replay_key(const CommittedTrace& trace, const ExtInstTable* table,
+                       const MachineConfig& machine, const RunSpec& spec) {
+  Json defs = Json::array();
+  if (table != nullptr) {
+    for (const ExtInstDef& def : table->defs()) {
+      defs.push_back(Json(def.signature()));
+    }
+  }
+  Json key = Json::object();
+  key["text"] = Json(to_hex(trace.text_fingerprint()));
+  key["trace"] = Json(to_hex(trace.content_hash()));
+  key["ext"] = std::move(defs);
+  key["machine"] = to_json(machine);
+  key["max_cycles"] = Json(spec.max_cycles);
+  key["observe"] = Json(spec.observe);
+  return key.dump();
 }
 
 // RAII phase instrumentation: one histogram observation
@@ -246,6 +271,45 @@ const VerifyReport& WorkloadExperiment::verify(const RunSpec& spec) const {
   return *slot->report;
 }
 
+void WorkloadExperiment::replay(const PreparedRun& prep, const RunSpec& spec,
+                                RunOutcome* out) const {
+  const Program& program = prep.rewritten ? prep.rewrite.program : program_;
+  const ExtInstTable* table = prep.rewritten ? &prep.selection.table : nullptr;
+  const MachineConfig machine = effective_machine(spec.machine, table);
+  const std::string key = replay_key(prep.trace, table, machine, spec);
+  std::shared_ptr<ReplaySlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(prep_mu_);
+    std::shared_ptr<ReplaySlot>& entry = replays_[key];
+    if (!entry) entry = std::make_shared<ReplaySlot>();
+    slot = entry;
+  }
+  bool replayed = false;
+  std::call_once(slot->once, [&] {
+    replayed = true;
+    try {
+      SimObservation observation;
+      slot->stats = simulate(
+          {.program = &program,
+           .ext_table = table,
+           .trace = &prep.trace,
+           .machine = machine,
+           .max_cycles = spec.max_cycles,
+           .observation = spec.observe ? &observation : nullptr});
+      slot->stalls = observation.stalls;
+    } catch (...) {
+      slot->error = std::current_exception();
+    }
+  });
+  if (!replayed) shared_replays_.fetch_add(1);
+  if (slot->error) std::rethrow_exception(slot->error);
+  out->stats = slot->stats;
+  if (spec.observe) {
+    out->observed = true;
+    out->stalls = slot->stalls;
+  }
+}
+
 RunOutcome WorkloadExperiment::run(const RunSpec& spec) const {
   const PreparedRun& prep = prepared_run(spec);
   if (spec.verify) {
@@ -256,27 +320,9 @@ RunOutcome WorkloadExperiment::run(const RunSpec& spec) const {
                         ") failed verification: " + report.summary());
     }
   }
-  const Program& program = prep.rewritten ? prep.rewrite.program : program_;
-  const ExtInstTable* table = prep.rewritten ? &prep.selection.table : nullptr;
   RunOutcome out = prep.partial;
   const PhaseTimer phase(obs_, "replay");
-  if (spec.observe) {
-    SimObservation obs;
-    out.stats = simulate({.program = &program,
-                          .ext_table = table,
-                          .trace = &prep.trace,
-                          .machine = spec.machine,
-                          .max_cycles = spec.max_cycles,
-                          .observation = &obs});
-    out.observed = true;
-    out.stalls = obs.stalls;
-  } else {
-    out.stats = simulate({.program = &program,
-                          .ext_table = table,
-                          .trace = &prep.trace,
-                          .machine = spec.machine,
-                          .max_cycles = spec.max_cycles});
-  }
+  replay(prep, spec, &out);
   return out;
 }
 
@@ -311,35 +357,14 @@ std::vector<WorkloadExperiment::BatchRunOutcome> WorkloadExperiment::run_batch(
       return out;
     }
   }
-  const Program& program = prep.rewritten ? prep.rewrite.program : program_;
-  const ExtInstTable* table = prep.rewritten ? &prep.selection.table : nullptr;
-
-  BatchSimRequest request;
-  request.program = &program;
-  request.ext_table = table;
-  request.trace = &prep.trace;
-  request.lanes.resize(specs.size());
-  std::vector<SimObservation> observations(specs.size());
+  const PhaseTimer phase(obs_, "replay");
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    request.lanes[i].machine = specs[i].machine;
-    request.lanes[i].max_cycles = specs[i].max_cycles;
-    if (specs[i].observe) request.lanes[i].observation = &observations[i];
-  }
-  std::vector<BatchLaneResult> lanes;
-  {
-    const PhaseTimer phase(obs_, "replay");
-    lanes = simulate_replay_batch(request);
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (lanes[i].error) {
-      out[i].error = lanes[i].error;
-      continue;
-    }
-    out[i].outcome = prep.partial;
-    out[i].outcome.stats = lanes[i].stats;
-    if (specs[i].observe) {
-      out[i].outcome.observed = true;
-      out[i].outcome.stalls = observations[i].stalls;
+    RunOutcome outcome = prep.partial;
+    try {
+      replay(prep, specs[i], &outcome);
+      out[i].outcome = std::move(outcome);
+    } catch (...) {
+      out[i].error = std::current_exception();
     }
   }
   return out;

@@ -142,17 +142,18 @@ class WorkloadExperiment {
   // Timing runs replay the committed trace shared by every spec with the
   // same (selector, policy): functional execution — and for rewritten
   // programs the selection and rewrite — is paid once, then any number of
-  // machine configurations are swept by replay (simulate_replay).
+  // machine configurations are swept by replay. Each distinct replay is
+  // itself run once (see TraceCounters::shared_replays).
   //
   // const; internal memoization is mutex/once-guarded: concurrent run()
   // calls on one experiment are safe, which the grid engine relies on.
   RunOutcome run(const RunSpec& spec) const;
 
-  // Config-parallel batched execution: times every spec as one lane of a
-  // single simulate_replay_batch sweep over the shared prepared trace.
-  // Every spec must share one batch identity (RunIdentity::batch_key —
-  // same selector/policy/verify; machine, max_cycles, and observe vary
-  // per lane); throws std::invalid_argument otherwise. Lane outcomes are
+  // Batched execution: times every spec as one lane over the shared
+  // prepared trace, each through the same replay memo as run(). Every
+  // spec must share one batch identity (RunIdentity::batch_key — same
+  // selector/policy/verify; machine, max_cycles, and observe vary per
+  // lane); throws std::invalid_argument otherwise. Lane outcomes are
   // byte-identical to N sequential run() calls. Failures are per-lane:
   // a lane that throws (cycle bound, failed verification) carries its
   // exception in `error` while the other lanes complete — the grid's
@@ -188,14 +189,18 @@ class WorkloadExperiment {
   const VerifyReport& verify(const RunSpec& spec) const;
 
   // Trace-sharing observability: how many distinct (selector, policy)
-  // traces were recorded, and how many run()/prepared() calls were served
-  // from an already-recorded trace.
+  // traces were recorded, how many run()/prepared() calls were served
+  // from an already-recorded trace, and how many timing runs took their
+  // statistics from an earlier replay with the same replay key instead of
+  // replaying (sel4 and sel_unl on a selection of at most four configs).
   struct TraceCounters {
     std::uint64_t recorded = 0;
     std::uint64_t reused = 0;
+    std::uint64_t shared_replays = 0;
   };
   TraceCounters trace_counters() const {
-    return {traces_recorded_.load(), trace_reuses_.load()};
+    return {traces_recorded_.load(), trace_reuses_.load(),
+            shared_replays_.load()};
   }
 
   // Verification observability: distinct preparations actually verified
@@ -240,9 +245,21 @@ class WorkloadExperiment {
     std::shared_ptr<const AnalyzedProgram> analysis;
     std::exception_ptr error;
   };
+  // One timing run, shared by every spec with its replay key.
+  struct ReplaySlot {
+    std::once_flag once;
+    SimStats stats;
+    StallBreakdown stalls;  // when the key is observed
+    std::exception_ptr error;
+  };
 
   const PreparedRun& prepared_run(const RunSpec& spec) const;
   std::shared_ptr<const PreparedRun> build_prepared(const RunSpec& spec) const;
+  // Fills out->stats (and out->stalls when spec.observe) from the timing
+  // run of `prep`'s trace under `spec`, replaying it only for the first
+  // spec with its replay key; rethrows that replay's failure.
+  void replay(const PreparedRun& prep, const RunSpec& spec,
+              RunOutcome* out) const;
 
   Workload workload_;
   ExperimentObs obs_;
@@ -255,8 +272,10 @@ class WorkloadExperiment {
   mutable std::map<std::string, std::shared_ptr<PreparedSlot>> prepared_;
   mutable std::map<std::string, std::shared_ptr<VerifySlot>> verified_;
   mutable std::map<std::string, std::shared_ptr<AnalysisSlot>> analyses_;
+  mutable std::map<std::string, std::shared_ptr<ReplaySlot>> replays_;
   mutable std::atomic<std::uint64_t> traces_recorded_{0};
   mutable std::atomic<std::uint64_t> trace_reuses_{0};
+  mutable std::atomic<std::uint64_t> shared_replays_{0};
   mutable std::atomic<std::uint64_t> verify_reports_{0};
   mutable std::atomic<std::uint64_t> verify_wall_us_{0};
 };

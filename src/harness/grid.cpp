@@ -51,6 +51,11 @@ struct WorkloadSlot {
   std::unique_ptr<WorkloadExperiment> experiment;
   std::exception_ptr experiment_error;
 
+  // Takes a hash computed before the grid ran (memory_resident()).
+  void seed_hash(std::uint64_t known) {
+    std::call_once(hash_once, [&] { hash = known; });
+  }
+
   std::uint64_t program_hash_for() {
     std::call_once(hash_once, [this] {
       try {
@@ -209,6 +214,7 @@ Json GridResult::to_json() const {
   engine["cache_size_evicted"] = Json(engine_.cache.size_evicted);
   engine["traces_recorded"] = Json(engine_.traces_recorded);
   engine["trace_replays"] = Json(engine_.trace_replays);
+  engine["shared_replays"] = Json(engine_.shared_replays);
   engine["batches"] = Json(engine_.batches);
   engine["batched_runs"] = Json(engine_.batched_runs);
   engine["observed"] = Json(engine_.observed);
@@ -264,6 +270,10 @@ std::string GridResult::engine_summary() const {
   out += strprintf("; traces: %llu recorded, %llu replayed",
                    static_cast<ull>(engine_.traces_recorded),
                    static_cast<ull>(engine_.trace_replays));
+  if (engine_.shared_replays > 0) {
+    out += strprintf("; shared replays: %llu",
+                     static_cast<ull>(engine_.shared_replays));
+  }
   if (engine_.batches > 0) {
     out += strprintf("; batches: %llu (%llu lane(s))",
                      static_cast<ull>(engine_.batches),
@@ -299,6 +309,9 @@ void ExperimentGrid::add_workload(const Workload& workload) {
   const auto it = index_.find(workload.name);
   if (it != index_.end()) {
     workloads_[it->second] = workload;
+    if (it->second < program_hashes_.size()) {
+      program_hashes_[it->second].reset();
+    }
     return;
   }
   index_.emplace(workload.name, workloads_.size());
@@ -367,6 +380,9 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   for (std::size_t i = 0; i < workloads_.size(); ++i) {
     slots[i].workload = &workloads_[i];
     slots[i].obs = ExperimentObs{options.metrics, options.journal};
+    if (i < program_hashes_.size() && program_hashes_[i]) {
+      slots[i].seed_hash(*program_hashes_[i]);
+    }
   }
   const auto slot_of = [&](const RunSpec& spec) -> WorkloadSlot& {
     return slots[index_.find(spec.workload)->second];
@@ -415,8 +431,8 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   // group is a singleton and the engine behaves exactly as it always has;
   // with batching, specs sharing a batch identity (RunIdentity::batch_key)
   // form one group whose cache misses are timed as lanes of a single
-  // simulate_replay_batch sweep. Grouping is greedy in insertion order, so
-  // results stay deterministic regardless of jobs or batching.
+  // WorkloadExperiment::run_batch call. Grouping is greedy in insertion
+  // order, so results stay deterministic regardless of jobs or batching.
   const bool batching = options.batch && options.run_budget_ms <= 0;
   std::vector<std::vector<std::size_t>> groups;
   {
@@ -568,7 +584,7 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
         }
       }
       if (!misses.empty()) {
-        // Stage 2: one config-parallel sweep over the group's cache misses.
+        // Stage 2: one batched run over the group's cache misses.
         // Lane outcomes are byte-identical to sequential runs (pinned by
         // tests); lane failures surface per run, and a whole-sweep failure
         // (experiment construction, trace recording) fails every lane
@@ -668,6 +684,7 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   for (const WorkloadSlot& slot : slots) {
     engine.traces_recorded += slot.traces.recorded;
     engine.trace_replays += slot.traces.reused;
+    engine.shared_replays += slot.traces.shared_replays;
     engine.verified_preps += slot.verify.reports;
     engine.verify_ms += slot.verify.wall_ms;
   }
@@ -676,12 +693,13 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
 }
 
 bool ExperimentGrid::memory_resident(const ResultCache& cache,
-                                     const GridOptions& options) const {
-  std::vector<std::optional<std::uint64_t>> hashes(workloads_.size());
+                                     const GridOptions& options) {
+  program_hashes_.resize(workloads_.size());
   for (const RunSpec& spec : specs_) {
     const std::size_t w = index_.find(spec.workload)->second;
-    if (!hashes[w]) hashes[w] = program_hash(workload_program(workloads_[w]));
-    const CacheKey key = make_cache_key(stamped(spec, options), *hashes[w],
+    std::optional<std::uint64_t>& hash = program_hashes_[w];
+    if (!hash) hash = program_hash(workload_program(workloads_[w]));
+    const CacheKey key = make_cache_key(stamped(spec, options), *hash,
                                         workloads_[w].max_steps);
     if (!cache.in_memory(key)) return false;
   }

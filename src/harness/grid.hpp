@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -117,11 +118,11 @@ struct GridOptions {
   // (RunOutcome::stalls) and the engine aggregates a grid-level breakdown
   // (EngineStats::stalls). Part of the cache identity, like verify.
   bool observe = false;
-  // Config-parallel batched replay (--no-batch disables): cache-missing
-  // specs that share a batch identity (RunIdentity::batch_key — same
-  // workload, selector, policy, and verify flag; the lane-grouping rule)
-  // are timed as lanes of one simulate_replay_batch sweep instead of N
-  // sequential replays. Per-run status, cache entries, fault isolation,
+  // Batched replay (--no-batch disables): cache-missing specs that share
+  // a batch identity (RunIdentity::batch_key — same workload, selector,
+  // policy, and verify flag; the lane-grouping rule) are timed as lanes of
+  // one WorkloadExperiment::run_batch call instead of N sequential runs.
+  // Per-run status, cache entries, fault isolation,
   // and observe/verify semantics are unchanged, and the results are
   // byte-identical to the sequential path (pinned by tests). Forced off
   // when run_budget_ms > 0: a per-run wall-clock budget needs per-run
@@ -179,9 +180,12 @@ struct EngineStats {
   // by replaying an already-recorded trace.
   std::uint64_t traces_recorded = 0;
   std::uint64_t trace_replays = 0;
-  // Config-parallel batching: sweeps dispatched (>= 2 cache misses sharing
-  // a prepared trace, timed in one batched replay) and the runs that were
-  // timed as lanes of one.
+  // Timing runs that took their statistics from an earlier replay with
+  // the same replay key (WorkloadExperiment::TraceCounters) instead of
+  // replaying.
+  std::uint64_t shared_replays = 0;
+  // Batching: batches dispatched (>= 2 cache misses sharing a prepared
+  // trace, timed in one run_batch call) and the runs timed as their lanes.
   std::uint64_t batches = 0;
   std::uint64_t batched_runs = 0;
   // Grid-level stall attribution: how many ok runs carried a breakdown
@@ -260,13 +264,16 @@ class ExperimentGrid {
   // True when the memory tier of `cache` holds the outcome of every queued
   // spec, keyed as run() keys it under `options` (verify and observe
   // stamped on), so run() would serve each from memory. Counts nothing.
-  bool memory_resident(const ResultCache& cache,
-                       const GridOptions& options) const;
+  // Keeps the program hashes it computes, so a run() of this grid after
+  // the check assembles and hashes no workload a second time.
+  bool memory_resident(const ResultCache& cache, const GridOptions& options);
 
  private:
   std::vector<Workload> workloads_;
   std::map<std::string, std::size_t, std::less<>> index_;  // name -> slot
   std::vector<RunSpec> specs_;
+  // Per workload slot, the program hash memory_resident() computed.
+  std::vector<std::optional<std::uint64_t>> program_hashes_;
 };
 
 // Number of workers `options.jobs` resolves to on this host.

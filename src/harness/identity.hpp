@@ -15,7 +15,7 @@
 //    committed trace) depends on — the selector and every policy field,
 //    and nothing else. Specs sharing it replay the same trace.
 //  * batch_key(): the grid's lane-grouping rule — specs with equal batch
-//    keys may be timed as lanes of one simulate_replay_batch sweep. The
+//    keys may be timed as lanes of one WorkloadExperiment::run_batch. The
 //    preparation plus the workload and the verify flag; the machine,
 //    max_cycles, and observe vary freely across lanes.
 //  * append_result_fields(): every RunSpec field that can change the

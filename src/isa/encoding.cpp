@@ -196,6 +196,12 @@ std::uint32_t encode(const Instruction& ins, std::uint32_t index) {
       return fields(kOpSpecial, 0, 0, 0, 0, kFnHalt);
     case OpKind::kExt: {
       if (ins.conf >= (1u << kConfBits)) fail("Conf id out of range");
+      // A MIMO EXT's extra operands live in imm, which the word has no
+      // room for: dropping them would load back as a 2-in/1-out EXT.
+      if (ins.imm != 0) {
+        fail("EXT (Conf " + std::to_string(ins.conf) +
+             ") has packed operands the 32-bit encoding cannot hold");
+      }
       return fields(kOpExt, ins.rs, ins.rt, ins.rd, 0, 0) | ins.conf;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -195,9 +196,9 @@ ExperimentGrid SimService::make_grid(const std::vector<RunSpec>& specs) {
   return grid;
 }
 
-GridResult SimService::execute(const ParsedRequest& parsed,
+GridResult SimService::execute(const ExperimentGrid& grid,
+                               const ParsedRequest& parsed,
                                obs::TraceContext trace) {
-  const ExperimentGrid grid = make_grid(parsed.specs);
   GridOptions options = parsed.options;
   // The service's shared long-lived tiers, not per-grid ones.
   options.cache = &cache_;
@@ -212,7 +213,9 @@ Json SimService::run_local(const Json& request) {
   const ParsedRequest parsed = parse_request(request);
   // A --local run is its own trace, rooted like a job's but without the
   // queue bookkeeping.
-  return execute(parsed, obs::TraceContext{journal_.new_id(), 0}).to_json();
+  return execute(make_grid(parsed.specs), parsed,
+                 obs::TraceContext{journal_.new_id(), 0})
+      .to_json();
 }
 
 ResultCache::JanitorReport SimService::sweep_now(double min_age_seconds) {
@@ -238,10 +241,11 @@ void SimService::lane_main() {
     }
     // A job the check cannot settle (a duplicate spec, say) goes to the
     // runner too, whose job path records the failure.
+    std::optional<ExperimentGrid> grid;
     bool cached = false;
     try {
-      cached = make_grid(job.parsed.specs)
-                   .memory_resident(cache_, job.parsed.options);
+      grid.emplace(make_grid(job.parsed.specs));
+      cached = grid->memory_resident(cache_, job.parsed.options);
     } catch (...) {
     }
     std::uint64_t trace_id = 0;
@@ -259,7 +263,7 @@ void SimService::lane_main() {
       continue;
     }
     metrics_.counter("serve.lane_jobs")->add();
-    run_job(job, trace_id);
+    run_job(job, trace_id, &*grid);
   }
 }
 
@@ -275,11 +279,12 @@ void SimService::runner_main() {
       sim_queue_.pop_front();
       trace_id = start_locked(job.id);
     }
-    run_job(job, trace_id);
+    run_job(job, trace_id, nullptr);
   }
 }
 
-void SimService::run_job(const PendingJob& job, std::uint64_t trace_id) {
+void SimService::run_job(const PendingJob& job, std::uint64_t trace_id,
+                         const ExperimentGrid* grid) {
   Job finished;
   finished.state = JobState::kFailed;
   {
@@ -293,7 +298,11 @@ void SimService::run_job(const PendingJob& job, std::uint64_t trace_id) {
                                      std::move(attrs));
     if (test_run_hook) test_run_hook();
     try {
-      const GridResult result = execute(job.parsed, job_span.context());
+      const GridResult result =
+          grid != nullptr
+              ? execute(*grid, job.parsed, job_span.context())
+              : execute(make_grid(job.parsed.specs), job.parsed,
+                        job_span.context());
       finished.state = JobState::kDone;
       finished.wall_ms = result.engine().wall_ms;
       finished.summary = result.engine_summary();

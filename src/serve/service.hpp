@@ -199,10 +199,15 @@ class SimService {
   ParsedRequest parse_request(const Json& request) const;
   // The grid a request names, over every workload find_workload() knows.
   static ExperimentGrid make_grid(const std::vector<RunSpec>& specs);
-  GridResult execute(const ParsedRequest& parsed, obs::TraceContext trace);
+  GridResult execute(const ExperimentGrid& grid, const ParsedRequest& parsed,
+                     obs::TraceContext trace);
   // The one job path of both threads: the "job" span, test_run_hook, the
-  // grid, and retention. The caller has marked the job running.
-  void run_job(const PendingJob& job, std::uint64_t trace_id);
+  // grid, and retention. The caller has marked the job running. `grid` is
+  // the job's grid when the caller built it already (the lane runs the
+  // grid it checked, with the program hashes the check computed); null
+  // builds it here.
+  void run_job(const PendingJob& job, std::uint64_t trace_id,
+               const ExperimentGrid* grid);
 
   // The routing body behind handle_http; `route_label` gets the bounded
   // route template ("GET /v1/jobs/<id>", never a raw path) the per-route

@@ -161,7 +161,7 @@ std::uint64_t fold_column(std::size_t n, std::uint64_t h, Next&& next) {
 }
 
 // The text fingerprint a trace keeps of the program it was recorded from.
-std::uint64_t text_fingerprint(const Program& program) {
+std::uint64_t fingerprint_text(const Program& program) {
   std::uint64_t h = fold(kFnvOffset, program.text.size());
   for (const Instruction& ins : program.text) {
     h = fold(h, static_cast<std::uint64_t>(ins.op) |
@@ -285,7 +285,7 @@ void CommittedTrace::finalize(const Program& program, std::uint32_t checksum) {
   first_ = n > 0 ? index_[0] : 0;
   checksum_ = checksum;
   program_size_ = program.size();
-  program_hash_ = text_fingerprint(program);
+  program_hash_ = fingerprint_text(program);
 
   // Per row: the size column's byte (non-zero when the step draws an
   // address), the flag column's static bits, and whether the step draws a
@@ -385,7 +385,7 @@ DecodeTable::DecodeTable(const Program& program) {
 
 DecodedTrace::DecodedTrace(const CommittedTrace& trace, const Program& program)
     : trace_(&trace), table_(program) {
-  const std::uint64_t text = text_fingerprint(program);
+  const std::uint64_t text = fingerprint_text(program);
   if (text != trace.program_hash_) {
     char msg[192];
     std::snprintf(msg, sizeof msg,

@@ -130,6 +130,11 @@ class CommittedTrace {
   // FNV-1a fingerprint of the logical step stream (see the file comment).
   std::uint64_t content_hash() const { return content_hash_; }
 
+  // Fingerprint of the text of the program the trace was recorded from:
+  // every field of every instruction, a MIMO EXT's packed operands
+  // included (which the 32-bit encoding cannot hold).
+  std::uint64_t text_fingerprint() const { return program_hash_; }
+
   // Heap footprint of the streams, for observability.
   std::uint64_t memory_bytes() const;
 

@@ -868,6 +868,17 @@ std::uint64_t step_bound(std::uint64_t max_cycles, int commit_width) {
 
 }  // namespace
 
+MachineConfig effective_machine(const MachineConfig& machine,
+                                const ExtInstTable* table) {
+  MachineConfig out = machine;
+  const int configs = table == nullptr ? 0 : table->size();
+  if (machine.pfu.count > 0 && configs <= machine.pfu.count &&
+      validate(machine).empty()) {
+    out.pfu.count = PfuConfig::kUnlimited;
+  }
+  return out;
+}
+
 SimStats simulate(const SimRequest& request) {
   if (request.program == nullptr) {
     throw SimError("simulate: request.program is required");

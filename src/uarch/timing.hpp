@@ -148,6 +148,20 @@ struct SimRequest {
   SimObservation* observation = nullptr;
 };
 
+// The machine a replay of a program whose EXTs name configurations of
+// `table` (null: none) behaves as: `machine` with pfu.count set to
+// kUnlimited when it has at least one unit and at least as many units as
+// the table has configurations, and otherwise `machine` itself. A machine
+// that fails validate() is returned unchanged, so it fails as itself.
+//
+// Exact: such an LRU bank never evicts, so every reconfiguration starts at
+// the requesting cycle and fills units 0, 1, 2... in the order an
+// unlimited bank appends them. Every returned ready cycle, every listener
+// event and the PfuStats are the same, and with them the SimStats and the
+// stall breakdown. Replays keyed on the result share one timing run.
+MachineConfig effective_machine(const MachineConfig& machine,
+                                const ExtInstTable* table);
+
 // Runs one timing simulation described by `request` and returns the
 // statistics. Throws SimError if the request is malformed, the machine
 // fails validate() (uarch/config.hpp), the program exceeds max_cycles (or,

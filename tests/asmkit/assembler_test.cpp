@@ -121,6 +121,13 @@ TEST(Assembler, LiAllOnesExpandsToAddiu) {
   EXPECT_EQ(p.text[0], make_imm(Opcode::kAddiu, 8, 0, -1));
 }
 
+TEST(Assembler, LiTakesEveryValueOfItsWindow) {
+  // The lowest signed and the highest unsigned 32-bit values.
+  EXPECT_EQ(assemble("li $t0, -2147483648").text[0], make_lui(8, 0x8000));
+  EXPECT_EQ(assemble("li $t0, 4294967295").text[0],
+            make_imm(Opcode::kAddiu, 8, 0, -1));
+}
+
 TEST(Assembler, LiNegativeAlignedExpandsToLuiOnly) {
   const Program p = assemble("li $t0, -0x10000");  // pattern 0xFFFF0000
   ASSERT_EQ(p.size(), 1);
@@ -325,6 +332,16 @@ TEST(AssemblerErrors, ImmediatesTheEncodingCannotHoldNameTheirLine) {
       {"slti $v0, $zero, -40000", "immediate out of signed 16-bit range"},
       {"lw $v0, 40000($zero)", "displacement out of signed 16-bit range"},
       {"lui $v0, 70000", "immediate out of 16-bit range"},
+      // Values past 32 bits are checked whole, not by their low bits.
+      {"addiu $v0, $zero, 4294967295", "immediate out of signed 16-bit range"},
+      {"sll $v0, $t0, 4294967297", "bad shift amount"},
+      {"lw $v0, 4294967296($sp)", "displacement out of signed 16-bit range"},
+      {"j @4294967297", "jump target out of range"},
+      {"ext $v0, $t0, $t1, 4294967297", "Conf id out of range"},
+      {"li $v0, 4294967296", "immediate out of 32-bit range"},
+      {"li $v0, -2147483649", "immediate out of 32-bit range"},
+      {"addiu $v0, $zero, 18446744073709551615",
+       "bad immediate '18446744073709551615'"},
   };
   for (const auto& [line, message] : cases) {
     try {

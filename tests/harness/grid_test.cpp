@@ -1101,6 +1101,7 @@ std::string scenario_counts(const EngineStats& e,
   put("simulated", e.simulated);
   put("traces_recorded", e.traces_recorded);
   put("trace_replays", e.trace_replays);
+  put("shared_replays", e.shared_replays);
   put("batches", e.batches);
   put("batched_runs", e.batched_runs);
   put("verified_preps", e.verified_preps);
@@ -1144,37 +1145,37 @@ TEST(Grid, BenchTenScenariosKeepTheirCounts) {
   const Scenario scenarios[] = {
       {.name = "paper_greedy", .specs = paper_greedy,
        .want = "runs=4 ok=4 failed=0 simulated=4 traces_recorded=4 "
-               "trace_replays=2 batches=0 batched_runs=0 verified_preps=0 "
+               "trace_replays=2 shared_replays=0 batches=0 batched_runs=0 verified_preps=0 "
                "observed=0 cache_hits=0 cache_misses=4 cache_stores=4 "},
       {.name = "paper_selective", .specs = paper_selective,
        .want = "runs=4 ok=4 failed=0 simulated=4 traces_recorded=4 "
-               "trace_replays=2 batches=0 batched_runs=0 verified_preps=0 "
+               "trace_replays=2 shared_replays=0 batches=0 batched_runs=0 verified_preps=0 "
                "observed=0 cache_hits=0 cache_misses=4 cache_stores=4 "},
       {.name = "batched_replay", .specs = latency_sweep,
        .want = "runs=5 ok=5 failed=0 simulated=5 traces_recorded=2 "
-               "trace_replays=4 batches=1 batched_runs=4 verified_preps=0 "
+               "trace_replays=4 shared_replays=0 batches=1 batched_runs=4 verified_preps=0 "
                "observed=0 cache_hits=0 cache_misses=5 cache_stores=5 "},
       {.name = "single_replay", .specs = latency_sweep, .batch = false,
        .want = "runs=5 ok=5 failed=0 simulated=5 traces_recorded=2 "
-               "trace_replays=4 batches=0 batched_runs=0 verified_preps=0 "
+               "trace_replays=4 shared_replays=0 batches=0 batched_runs=0 verified_preps=0 "
                "observed=0 cache_hits=0 cache_misses=5 cache_stores=5 "},
       // Whole-scenario cache traffic: the cold round's misses and stores,
       // the warm round's hits.
       {.name = "cache_roundtrip", .specs = pair("g721_enc"), .rounds = 2,
        .want = "runs=2 ok=2 failed=0 simulated=0 traces_recorded=0 "
-               "trace_replays=0 batches=0 batched_runs=0 verified_preps=0 "
+               "trace_replays=0 shared_replays=0 batches=0 batched_runs=0 verified_preps=0 "
                "observed=0 cache_hits=2 cache_misses=2 cache_stores=2 "},
       {.name = "compiled_kernel", .specs = pair("cc_cikernel"),
        .want = "runs=2 ok=2 failed=0 simulated=2 traces_recorded=2 "
-               "trace_replays=1 batches=0 batched_runs=0 verified_preps=0 "
+               "trace_replays=1 shared_replays=0 batches=0 batched_runs=0 verified_preps=0 "
                "observed=0 cache_hits=0 cache_misses=2 cache_stores=2 "},
       {.name = "verified_sweep", .specs = pair("mpeg2_dec"), .verify = true,
        .want = "runs=2 ok=2 failed=0 simulated=2 traces_recorded=2 "
-               "trace_replays=3 batches=0 batched_runs=0 verified_preps=2 "
+               "trace_replays=3 shared_replays=0 batches=0 batched_runs=0 verified_preps=2 "
                "observed=0 cache_hits=0 cache_misses=2 cache_stores=2 "},
       {.name = "observed_sweep", .specs = pair("epic"), .observe = true,
        .want = "runs=2 ok=2 failed=0 simulated=2 traces_recorded=2 "
-               "trace_replays=1 batches=0 batched_runs=0 verified_preps=0 "
+               "trace_replays=1 shared_replays=0 batches=0 batched_runs=0 verified_preps=0 "
                "observed=2 cache_hits=0 cache_misses=2 cache_stores=2 "},
   };
   for (const Scenario& s : scenarios) {
@@ -1199,6 +1200,76 @@ TEST(Grid, BenchTenScenariosKeepTheirCounts) {
     }
     EXPECT_EQ(scenario_counts(engine, cache.counters()), s.want) << s.name;
   }
+}
+
+TEST(Grid, FourPfuAndUnlimitedSelectionsShareOneReplay) {
+  // In six of the eight paper workloads the 4-PFU selection is the
+  // unlimited one, and a 4-unit bank never evicts its 3-4 configurations:
+  // sel4@10 and sel_unl@10 replay the same inputs, and only one does.
+  ExperimentGrid grid;
+  grid.add_workloads(all_workloads());
+  std::map<std::string, std::string> want;  // workload/label -> stats JSON
+  for (const Workload& w : all_workloads()) {
+    const WorkloadExperiment experiment(w);
+    for (const RunSpec& spec :
+         {selective_spec(w.name, "sel4@10", 4, 10),
+          selective_spec(w.name, "sel_unl@10", PfuConfig::kUnlimited, 10)}) {
+      grid.add(spec);
+      const WorkloadExperiment::PreparedView view = experiment.prepared(spec);
+      want[w.name + "/" + spec.label] =
+          to_json(simulate({.program = view.program,
+                            .ext_table = view.table,
+                            .trace = view.trace,
+                            .machine = spec.machine,
+                            .max_cycles = spec.max_cycles}))
+              .dump();
+    }
+  }
+  std::string first;
+  for (const int jobs : {1, 4}) {
+    GridOptions options;
+    options.jobs = jobs;
+    const GridResult res = grid.run(options);
+    EXPECT_EQ(res.engine().shared_replays, 6u) << "jobs " << jobs;
+    EXPECT_EQ(res.engine().traces_recorded, 24u) << "jobs " << jobs;
+    for (const RunResult& r : res.runs()) {
+      const std::string key = r.spec.workload + "/" + r.spec.label;
+      ASSERT_TRUE(r.ok()) << key << ": " << r.error;
+      EXPECT_EQ(to_json(r.outcome.stats).dump(), want.at(key)) << key;
+    }
+    const std::string results = res.results_json().dump();
+    if (first.empty()) first = results;
+    EXPECT_EQ(results, first) << "jobs " << jobs;
+    EXPECT_NE(res.engine_summary().find("shared replays: 6"),
+              std::string::npos)
+        << res.engine_summary();
+  }
+}
+
+TEST(Grid, MemoryResidentCheckHandsItsHashesToRun) {
+  // A grid checked against the memory tier runs on the program hashes the
+  // check computed; re-registering a workload after the check drops its
+  // hash, so another program under the old name cannot hit the old entry.
+  ExperimentGrid grid;
+  grid.add_workload({"tiny", "", "  li $v0, 7\n  halt\n", 1000});
+  grid.add(baseline_spec("tiny"));
+  ResultCache cache;
+  GridOptions options;
+  options.jobs = 1;
+  options.cache = &cache;
+  EXPECT_FALSE(grid.memory_resident(cache, options));
+  const GridResult cold = grid.run(options);
+  ASSERT_TRUE(cold.runs()[0].ok()) << cold.runs()[0].error;
+  EXPECT_FALSE(cold.runs()[0].cache_hit);
+  EXPECT_TRUE(grid.memory_resident(cache, options));
+  const GridResult warm = grid.run(options);
+  EXPECT_TRUE(warm.runs()[0].cache_hit);
+  EXPECT_EQ(warm.results_json().dump(), cold.results_json().dump());
+  grid.add_workload({"tiny", "", "  li $v0, 8\n  halt\n", 1000});
+  const GridResult changed = grid.run(options);
+  ASSERT_TRUE(changed.runs()[0].ok()) << changed.runs()[0].error;
+  EXPECT_FALSE(changed.runs()[0].cache_hit);
+  EXPECT_EQ(changed.runs()[0].outcome.checksum, 8u);
 }
 
 TEST(Grid, EngineSummaryNeverTruncates) {
@@ -1291,6 +1362,7 @@ TEST(Grid, ToJsonContainsResultsAndEngineSections) {
   // One spec: the pool is clamped so no worker sits idle.
   EXPECT_EQ(j.at("engine").at("jobs").as_int(), 1);
   EXPECT_EQ(j.at("engine").at("runs").as_uint(), 1u);
+  EXPECT_EQ(j.at("engine").at("shared_replays").as_uint(), 0u);
   EXPECT_EQ(j.at("results").at(0).at("spec").at("workload").as_string(),
             "gsm_dec");
   EXPECT_GT(j.at("results").at(0).at("outcome").at("stats").at("cycles")

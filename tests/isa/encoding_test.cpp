@@ -95,6 +95,9 @@ TEST(Encoding, RejectsOutOfRangeFields) {
                EncodingError);
   EXPECT_THROW(encode(make_jump(Opcode::kJ, 1 << 26), 0), EncodingError);
   EXPECT_THROW(encode(make_ext(1, 2, 3, 1u << kConfBits), 0), EncodingError);
+  // A MIMO EXT's packed operands have no room in the word.
+  EXPECT_THROW(encode(make_ext(10, 8, 9, 2, {11, 12}, {13}), 0),
+               EncodingError);
   EXPECT_THROW(encode(make_shift(Opcode::kSll, 1, 2, 32), 0), EncodingError);
 }
 

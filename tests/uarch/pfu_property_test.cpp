@@ -126,6 +126,65 @@ TEST(PfuProperty, MatchesReferenceAcrossSizesAndLatencies) {
   }
 }
 
+// Every reconfiguration a bank reports, in order.
+class ReconfigLog final : public PfuListener {
+ public:
+  struct Event {
+    int unit;
+    ConfId conf;
+    ConfId evicted;
+    std::uint64_t start;
+    std::uint64_t ready;
+    bool operator==(const Event&) const = default;
+  };
+  void on_pfu_reconfig(int unit, ConfId conf, ConfId evicted,
+                       std::uint64_t start, std::uint64_t ready) override {
+    events.push_back({unit, conf, evicted, start, ready});
+  }
+  std::vector<Event> events;
+};
+
+TEST(PfuProperty, BankHoldingEveryConfAnswersAsUnlimited) {
+  // Property: a bank with at least as many units as distinct confs never
+  // evicts, so it answers every request as the unlimited bank does, fills
+  // the same units in the same order, and ends with equal PfuStats. This
+  // is the rule effective_machine() (uarch/timing.hpp) relies on.
+  std::uint32_t seed = 0x5EED;
+  for (const int latency : {0, 1, 10, 500}) {
+    for (const int confs : {1, 2, 3, 4, 6}) {
+      for (const int count : {confs, confs + 1, 8}) {
+        PfuConfig config;
+        config.count = count;
+        config.reconfig_latency = latency;
+        PfuConfig unlimited_config = config;
+        unlimited_config.count = PfuConfig::kUnlimited;
+        PfuBank bank(config);
+        PfuBank unlimited(unlimited_config);
+        ReconfigLog bank_log;
+        ReconfigLog unlimited_log;
+        bank.set_listener(&bank_log);
+        unlimited.set_listener(&unlimited_log);
+        std::mt19937 rng(seed++);
+        std::uniform_int_distribution<int> conf_dist(0, confs - 1);
+        std::uniform_int_distribution<int> advance(0, 12);
+        std::uint64_t now = 0;
+        for (int i = 0; i < 2000; ++i) {
+          now += static_cast<std::uint64_t>(advance(rng));
+          const auto conf = static_cast<ConfId>(conf_dist(rng));
+          ASSERT_EQ(bank.request(conf, now), unlimited.request(conf, now))
+              << "request " << i << ": conf " << conf << " at cycle " << now
+              << " (count " << count << ", latency " << latency << ")";
+        }
+        char context[64];
+        std::snprintf(context, sizeof context, "count %d latency %d confs %d",
+                      count, latency, confs);
+        expect_stats_equal(bank.stats(), unlimited.stats(), context);
+        EXPECT_TRUE(bank_log.events == unlimited_log.events) << context;
+      }
+    }
+  }
+}
+
 TEST(PfuProperty, HotConfNeverReconfiguresTwice) {
   // Property: a single configuration requested forever reconfigures at
   // most once, regardless of bank size.
